@@ -1,7 +1,6 @@
 #include "data/dataset.h"
 
 #include "core/check.h"
-#include "core/histogram.h"
 
 namespace ldpr::data {
 
@@ -27,6 +26,10 @@ Dataset::Dataset(std::vector<int> domain_sizes,
   LDPR_REQUIRE(attribute_names_.size() == domain_sizes_.size(),
                "attribute_names must match domain_sizes in length");
   columns_.resize(domain_sizes_.size());
+  counts_.resize(domain_sizes_.size());
+  for (std::size_t j = 0; j < domain_sizes_.size(); ++j) {
+    counts_[j].assign(domain_sizes_[j], 0);
+  }
 }
 
 void Dataset::AddRecord(const std::vector<int>& values) {
@@ -37,7 +40,10 @@ void Dataset::AddRecord(const std::vector<int>& values) {
                  "attribute " << j << " value " << values[j]
                               << " outside [0, " << domain_sizes_[j] << ")");
   }
-  for (int j = 0; j < d(); ++j) columns_[j].push_back(values[j]);
+  for (int j = 0; j < d(); ++j) {
+    columns_[j].push_back(values[j]);
+    ++counts_[j][values[j]];
+  }
   ++n_;
 }
 
@@ -75,9 +81,15 @@ const std::vector<int>& Dataset::Column(int attribute) const {
 
 std::vector<std::vector<double>> Dataset::Marginals() const {
   LDPR_REQUIRE(n_ > 0, "Marginals requires a non-empty dataset");
+  // Same long long -> double division as EmpiricalFrequency, so the result
+  // is bit-identical to a recount of each column.
+  const double n = static_cast<double>(n_);
   std::vector<std::vector<double>> out(d());
   for (int j = 0; j < d(); ++j) {
-    out[j] = EmpiricalFrequency(columns_[j], domain_sizes_[j]);
+    out[j].resize(counts_[j].size());
+    for (std::size_t v = 0; v < counts_[j].size(); ++v) {
+      out[j][v] = static_cast<double>(counts_[j][v]) / n;
+    }
   }
   return out;
 }

@@ -13,6 +13,11 @@ namespace ldpr::data {
 /// Mirrors the paper's setting: n users, d attributes A_1..A_d, attribute j
 /// taking values in {0, ..., k_j - 1}. Storage is column-major because the
 /// estimation and attack pipelines operate one attribute at a time.
+///
+/// Alongside the columns the dataset keeps one count vector per attribute,
+/// updated by AddRecord (the only way records enter a dataset). Counts are
+/// written only while the dataset is built and are read-only afterwards, so
+/// concurrent readers of a finished dataset need no lock.
 class Dataset {
  public:
   /// Creates an empty dataset with the given per-attribute domain sizes
@@ -20,7 +25,9 @@ class Dataset {
   explicit Dataset(std::vector<int> domain_sizes,
                    std::vector<std::string> attribute_names = {});
 
-  /// Appends one record; values[j] must lie in [0, k_j).
+  /// Appends one record; values[j] must lie in [0, k_j). A record that
+  /// fails validation throws and leaves the dataset (and its counts)
+  /// unchanged.
   void AddRecord(const std::vector<int>& values);
 
   /// Reserves capacity for n records.
@@ -41,8 +48,14 @@ class Dataset {
   /// Read-only access to one attribute column.
   const std::vector<int>& Column(int attribute) const;
 
+  /// Per-attribute value counts: Counts()[j][v] is the number of records
+  /// with attribute j equal to v. Kept as records are added; O(1).
+  const std::vector<std::vector<long long>>& Counts() const { return counts_; }
+
   /// Empirical marginal distribution of each attribute
-  /// (the ground-truth frequencies the LDP estimators target).
+  /// (the ground-truth frequencies the LDP estimators target). Computed
+  /// from Counts() in O(sum_j k_j), with no pass over the users; bit-
+  /// identical to EmpiricalFrequency(Column(j), k_j).
   std::vector<std::vector<double>> Marginals() const;
 
   /// New dataset containing only the given attributes (in the given order).
@@ -55,6 +68,7 @@ class Dataset {
   std::vector<int> domain_sizes_;
   std::vector<std::string> attribute_names_;
   std::vector<std::vector<int>> columns_;
+  std::vector<std::vector<long long>> counts_;
   int n_ = 0;
 };
 

@@ -108,7 +108,8 @@ void Run(exp::Context& ctx) {
   // it. The closed-form fast profile goes further: its per-cell cost is
   // O(sum k_j) regardless of n, so it defaults to the source paper's true
   // ACSEmployment size (~3.2M users) instead of the 10k-scale stand-in —
-  // the one pass over the users is building the per-attribute histograms.
+  // the dataset keeps its per-attribute counts as it is synthesized, so
+  // histograms, marginals and Laplace priors never pass over the users.
   const double default_scale =
       ctx.profile().fast() ? data::kAcsEmploymentPaperScale : 1.0;
   const data::Dataset& ds = ctx.Acs(2023, ctx.profile().Scale(default_scale));

@@ -303,18 +303,21 @@ std::vector<std::uint8_t> FrameStreamRecords(
 
 namespace {
 
+// A peer that closes early must surface as EPIPE, not kill the process with
+// SIGPIPE.
+#ifdef MSG_NOSIGNAL
+constexpr int kSendFlags = MSG_NOSIGNAL;
+#else
+constexpr int kSendFlags = 0;
+#endif
+
 SocketSendResult SendAll(int fd, std::span<const std::uint8_t> bytes,
                          const char* what) {
   const double start = MonotonicSeconds();
   std::size_t sent = 0;
   while (sent < bytes.size()) {
-    const ssize_t n = ::send(fd, bytes.data() + sent, bytes.size() - sent,
-#ifdef MSG_NOSIGNAL
-                             MSG_NOSIGNAL
-#else
-                             0
-#endif
-    );
+    const ssize_t n =
+        ::send(fd, bytes.data() + sent, bytes.size() - sent, kSendFlags);
     if (n < 0) {
       if (errno == EINTR) continue;
       const int err = errno;
@@ -392,7 +395,7 @@ std::string HttpGetOverUds(const std::string& uds_path,
   std::size_t sent = 0;
   while (sent < request.size()) {
     const ssize_t n =
-        ::write(fd, request.data() + sent, request.size() - sent);
+        ::send(fd, request.data() + sent, request.size() - sent, kSendFlags);
     if (n < 0 && errno == EINTR) continue;
     if (n <= 0) {
       ::close(fd);

@@ -490,8 +490,15 @@ void IngestServer::AdminEventReady(int fd) {
     poller_->SetInterest(fd, /*read=*/false, /*write=*/true);
   }
   while (conn.written < conn.response.size()) {
-    const ssize_t n = ::write(fd, conn.response.data() + conn.written,
-                              conn.response.size() - conn.written);
+    // A scraper that hangs up early must cost an EPIPE, not a SIGPIPE.
+    const ssize_t n = ::send(fd, conn.response.data() + conn.written,
+                             conn.response.size() - conn.written,
+#ifdef MSG_NOSIGNAL
+                             MSG_NOSIGNAL
+#else
+                             0
+#endif
+    );
     if (n < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) return;
       CloseAdmin(fd);

@@ -6,17 +6,9 @@ namespace ldpr::sim {
 
 multidim::AttributeHistograms BuildAttributeHistograms(
     const data::Dataset& dataset) {
-  const int n = dataset.n();
-  const int d = dataset.d();
-  LDPR_REQUIRE(n >= 1, "BuildAttributeHistograms requires a non-empty dataset");
-  multidim::AttributeHistograms hists(d);
-  for (int j = 0; j < d; ++j) hists[j].assign(dataset.domain_size(j), 0);
-  for (int i = 0; i < n; ++i) {
-    for (int j = 0; j < d; ++j) {
-      ++hists[j][dataset.value(i, j)];
-    }
-  }
-  return hists;
+  LDPR_REQUIRE(dataset.n() >= 1,
+               "BuildAttributeHistograms requires a non-empty dataset");
+  return dataset.Counts();
 }
 
 }  // namespace ldpr::sim

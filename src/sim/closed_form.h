@@ -5,10 +5,11 @@
 //
 // sim::Mode::kClosedForm replaces per-user simulation with O(k) tally draws
 // for single-attribute collections (RunCollection); this header is its
-// multidimensional counterpart: a dataset is summarized once into
-// per-attribute true-value histograms, and every simulated collection round
-// then draws its aggregate support counts straight from the closed-form
-// samplers in multidim/closed_form.h — no per-user loop anywhere.
+// multidimensional counterpart: it starts from the dataset's per-attribute
+// true-value histograms (kept by the dataset as it is built), and every
+// simulated collection round then draws its aggregate support counts
+// straight from the closed-form samplers in multidim/closed_form.h — no
+// per-user loop anywhere.
 //
 // The RNG streams necessarily differ from RunMultidim's per-user streams,
 // so the experiment layer gates this path behind
@@ -25,9 +26,10 @@
 
 namespace ldpr::sim {
 
-/// Summarizes the dataset into per-attribute true-value histograms — the
-/// only pass over the n users the fast profile ever makes. Scenarios hoist
-/// this out of their grid loops (O(n d) once, O(sum_j k_j) per cell after).
+/// The dataset's per-attribute true-value histograms. The dataset keeps
+/// these counts as its records are added (data::Dataset::Counts), so this
+/// is an O(sum_j k_j) copy and a fast-profile run makes no pass over the n
+/// users. Scenarios still hoist it out of their grid loops to copy once.
 multidim::AttributeHistograms BuildAttributeHistograms(
     const data::Dataset& dataset);
 

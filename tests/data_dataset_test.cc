@@ -1,8 +1,17 @@
 #include "data/dataset.h"
 
+#include <cstdio>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/check.h"
+#include "core/histogram.h"
+#include "data/csv.h"
+#include "data/longitudinal.h"
+#include "data/synthetic.h"
+#include "sim/closed_form.h"
 
 namespace ldpr::data {
 namespace {
@@ -90,6 +99,60 @@ TEST(DatasetTest, SubsampleKeepsValidRecords) {
   EXPECT_EQ(sub.d(), 2);
   EXPECT_THROW(ds.Subsample(0, rng), InvalidArgumentError);
   EXPECT_THROW(ds.Subsample(5, rng), InvalidArgumentError);
+}
+
+// The counts a dataset keeps must equal a recount of every column;
+// Marginals() must equal EmpiricalFrequency of the column bit for bit; and
+// the fast profile's histograms must be exactly those counts.
+void ExpectCountsMatchColumns(const Dataset& ds, const std::string& route) {
+  SCOPED_TRACE(route);
+  ASSERT_EQ(ds.Counts().size(), static_cast<std::size_t>(ds.d()));
+  const auto marginals = ds.Marginals();
+  for (int j = 0; j < ds.d(); ++j) {
+    std::vector<long long> recount(ds.domain_size(j), 0);
+    for (int v : ds.Column(j)) ++recount[v];
+    EXPECT_EQ(ds.Counts()[j], recount) << "attribute " << j;
+    EXPECT_EQ(marginals[j], EmpiricalFrequency(ds.Column(j), ds.domain_size(j)))
+        << "attribute " << j;
+  }
+  EXPECT_EQ(sim::BuildAttributeHistograms(ds), ds.Counts());
+}
+
+TEST(DatasetTest, CountsMatchColumnsOnEveryConstructionRoute) {
+  ExpectCountsMatchColumns(SmallDataset(), "AddRecord");
+  const Dataset adult = AdultLike(7, 0.05);
+  ExpectCountsMatchColumns(adult, "AdultLike");
+  ExpectCountsMatchColumns(AcsEmploymentLike(7, 0.2), "AcsEmploymentLike");
+
+  const std::string path = ::testing::TempDir() + "/ldpr_dataset_counts.csv";
+  SaveCsv(adult, path);
+  ExpectCountsMatchColumns(LoadCsv(path), "LoadCsv");
+  std::remove(path.c_str());
+
+  ExpectCountsMatchColumns(adult.Project({8, 0, 3}), "Project");
+  Rng rng(11);
+  ExpectCountsMatchColumns(adult.Subsample(500, rng), "Subsample");
+
+  LongitudinalConfig config;
+  config.rounds = 3;
+  config.change_probability = 0.3;
+  config.seed = 5;
+  const std::vector<Dataset> rounds = GenerateLongitudinal(adult, config);
+  for (std::size_t t = 0; t < rounds.size(); ++t) {
+    ExpectCountsMatchColumns(rounds[t],
+                             "GenerateLongitudinal round " + std::to_string(t));
+  }
+}
+
+TEST(DatasetTest, RejectedRecordLeavesCountsUnchanged) {
+  Dataset ds = SmallDataset();
+  const auto counts = ds.Counts();
+  // The out-of-range value sits in the last attribute, after a valid one.
+  EXPECT_THROW(ds.AddRecord({1, 2}), InvalidArgumentError);
+  EXPECT_THROW(ds.AddRecord({-1, 0}), InvalidArgumentError);
+  EXPECT_EQ(ds.n(), 4);
+  EXPECT_EQ(ds.Counts(), counts);
+  ExpectCountsMatchColumns(ds, "after rejected records");
 }
 
 TEST(DatasetTest, MarginalsRequireData) {

@@ -102,6 +102,30 @@ TEST(BuildPriorsTest, CorrectPriorTracksTruth) {
   EXPECT_LT(total / ds.d(), 0.5);
 }
 
+// Pins the "Correct" recipe and its draw order: one
+// LaplacePerturbedHistogram(Marginals()[j], n, eps/d) per attribute, in
+// attribute order, on the caller's stream. A twin stream fed the same calls
+// must reproduce every prior bit for bit and end in the same state.
+TEST(BuildPriorsTest, CorrectLaplaceRecipeIsPinned) {
+  const Dataset ds = AdultLike(3, 0.05);
+  for (int prior_n : {0, 1000000}) {
+    SCOPED_TRACE(prior_n);
+    Rng rng(41);
+    Rng twin(41);
+    const auto priors =
+        BuildPriors(ds, PriorKind::kCorrectLaplace, rng, 0.1, prior_n);
+    const auto truth = ds.Marginals();
+    const int n = prior_n > 0 ? prior_n : ds.n();
+    ASSERT_EQ(static_cast<int>(priors.size()), ds.d());
+    for (int j = 0; j < ds.d(); ++j) {
+      EXPECT_EQ(priors[j],
+                LaplacePerturbedHistogram(truth[j], n, 0.1 / ds.d(), twin))
+          << "attribute " << j;
+    }
+    EXPECT_EQ(rng(), twin());
+  }
+}
+
 TEST(BuildPriorsTest, UniformPriorIsExactlyUniform) {
   Dataset ds = NurseryLike(3, 0.05);
   Rng rng(7);

@@ -5,15 +5,21 @@
 // Unix-domain socket — sealed snapshots must be bit-identical to the same
 // frames pushed through the in-process path — and the admin scrape
 // endpoint, whose /metrics counters must equal the sealed snapshot's
-// IngestCounters exactly, including mid-stream scrapes. Runs under the
-// ASan fast label.
+// IngestCounters exactly, including mid-stream scrapes and after scrapers
+// that hang up before reading their response. Runs under the ASan fast
+// label.
 
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -577,6 +583,95 @@ TEST(AdminEndpointTest, ScrapedCountersMatchSealedSnapshotExactly) {
             0u);
 
   server.Stop();
+}
+
+// A scraper that hangs up before reading its response must cost the server
+// one failed send, not a SIGPIPE: this binary hosts the server, so without
+// MSG_NOSIGNAL on the admin write the signal kills the whole test run.
+TEST(AdminEndpointTest, EarlyCloseScrapeLeavesServerUpAndExact) {
+  const int k = 8;
+  const long long n = 2000;
+  auto oracle = fo::MakeOracle(fo::Protocol::kGrr, k, 1.0);
+  std::vector<int> values(n);
+  for (long long i = 0; i < n; ++i) values[i] = static_cast<int>(i % k);
+  Rng root(29);
+  sim::Options encode_options;
+  encode_options.threads = 1;
+  const EncodedStream stream =
+      EncodeScalarLoad(*oracle, values, root, encode_options);
+
+  obs::MetricsRegistry registry;
+  CollectorOptions collector_options;
+  collector_options.metrics = &registry;
+  Collector collector(*oracle, collector_options);
+
+  ServerOptions server_options;
+  server_options.uds_path = TestSocketPath("early_ingest");
+  server_options.admin_uds_path = TestSocketPath("early_scrape");
+  server_options.admin_tcp_port = 0;
+  server_options.metrics = &registry;
+  IngestServer server(collector, server_options);
+  server.Start();
+
+  SendOverUds(server_options.uds_path,
+              FrameStreamRecords(stream, 0, n, /*first_user=*/std::nullopt));
+  while (server.counters().sessions.ingest.reports < n) {
+    std::this_thread::yield();
+  }
+  const std::string request = "GET /metrics HTTP/1.0\r\n\r\n";
+
+  // Deterministic EPIPE: the scraper shuts its read side before sending, so
+  // the server's response write must fail. The server then closes the
+  // connection, which the scraper sees as POLLHUP.
+  {
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, server_options.admin_uds_path.c_str(),
+                 sizeof(addr.sun_path) - 1);
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                        sizeof(addr)),
+              0);
+    ASSERT_EQ(::shutdown(fd, SHUT_RD), 0);
+    ASSERT_EQ(::send(fd, request.data(), request.size(), 0),
+              static_cast<ssize_t>(request.size()));
+    pollfd hangup{fd, 0, 0};
+    EXPECT_EQ(::poll(&hangup, 1, /*timeout_ms=*/10000), 1);
+    EXPECT_NE(hangup.revents & POLLHUP, 0);
+    ::close(fd);
+  }
+
+  // The RST form: a TCP scraper that aborts (SO_LINGER 0) right after its
+  // request. Whether the server's write or its read sees the reset depends
+  // on timing; either way it must stay up.
+  {
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(static_cast<std::uint16_t>(server.admin_tcp_port()));
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                        sizeof(addr)),
+              0);
+    ASSERT_EQ(::send(fd, request.data(), request.size(), 0),
+              static_cast<ssize_t>(request.size()));
+    const linger abort{1, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_LINGER, &abort, sizeof(abort));
+    ::close(fd);
+  }
+
+  // Still up, and a second scrape is exact.
+  const std::string response =
+      HttpGetOverUds(server_options.admin_uds_path, "/metrics");
+  EXPECT_EQ(response.rfind("HTTP/1.0 200 OK", 0), 0u) << response;
+  const std::string body = HttpBody(response);
+  server.Stop();
+  const IngestCounters totals = collector.Drain().tallies;
+  EXPECT_EQ(totals.reports, n);
+  EXPECT_EQ(SeriesValue(body, "ldpr_ingest_reports_total"), totals.reports);
+  EXPECT_EQ(SeriesValue(body, "ldpr_ingest_bytes_total"), totals.bytes);
 }
 
 // Scrapes hammer the admin endpoint while client connections stream: every
