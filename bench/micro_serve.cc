@@ -15,10 +15,13 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <span>
 #include <thread>
+#include <vector>
 
 #include "core/rng.h"
 #include "fo/factory.h"
+#include "fo/wire.h"
 #include "obs/metrics.h"
 #include "serve/collector.h"
 #include "serve/loadgen.h"
@@ -177,6 +180,58 @@ void BM_LongitudinalIngest(benchmark::State& state, fo::Protocol protocol) {
                           static_cast<long long>(stream.bytes.size()));
 }
 
+// The replay table after many epochs: every user already holds 16 distinct
+// frame hashes (GRR frames, one per value), and the timed epoch replays the
+// newest frame for 90% of users and an older one for the rest, then seals.
+// BM_LongitudinalIngest replays one stream, so its users hold a single
+// hash each; this is the aged-history case a long-running collection
+// reaches. All timed frames are memoized replays, so the table does not
+// grow across iterations.
+void BM_LongitudinalAged(benchmark::State& state, fo::Protocol protocol) {
+  const long long n = state.range(0);
+  constexpr int kHistory = 16;
+  auto oracle = fo::MakeOracle(protocol, kDomain, 1.0);
+  std::vector<std::vector<std::uint8_t>> frames;
+  for (int v = 0; v < kDomain; ++v) {
+    fo::Report report;
+    report.value = v;
+    frames.push_back(fo::SerializeReport(*oracle, report));
+  }
+  // User u's j-th frame; 7 is coprime to kDomain, so j < kHistory are
+  // distinct values.
+  auto frame = [&](long long u, long long j) {
+    return std::span<const std::uint8_t>(
+        frames[static_cast<std::size_t>((u + 7 * j) % kDomain)]);
+  };
+  serve::LongitudinalOptions options;
+  options.collector.lanes = 1;
+  options.history_cap = 4;  // benchmark iterations must not accumulate state
+  serve::LongitudinalCollector collector(*oracle, options);
+  for (int j = 0; j < kHistory; ++j) {
+    collector.OpenEpoch();
+    for (long long u = 0; u < n; ++u) {
+      collector.Ingest(serve::IngestRequest{frame(u, j), u});
+    }
+    collector.Seal();
+  }
+  long long iteration = 0;
+  for (auto _ : state) {
+    collector.OpenEpoch();
+    for (long long u = 0; u < n; ++u) {
+      // Every 10th user replays an older frame, a different one each
+      // iteration, so it never matches the previous epoch's newest frame.
+      const long long j = u % 10 != 0
+                              ? kHistory - 1
+                              : (iteration + u / 10) % (kHistory - 1);
+      benchmark::DoNotOptimize(
+          collector.Ingest(serve::IngestRequest{frame(u, j), u}));
+    }
+    benchmark::DoNotOptimize(collector.Seal());
+    ++iteration;
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+
 // The network front door end to end: an IngestServer listening on a
 // Unix-domain socket, LoadGen socket clients streaming framed wire records
 // at it, one connection per client. Measures decoded reports/s through the
@@ -305,6 +360,8 @@ BENCHMARK_CAPTURE(BM_LongitudinalIngest, grr, fo::Protocol::kGrr)
     ->Arg(1 << 17)->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_LongitudinalIngest, oue, fo::Protocol::kOue)
     ->Arg(1 << 17)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_LongitudinalAged, grr, fo::Protocol::kGrr)
+    ->Arg(20000)->Arg(200000)->Unit(benchmark::kMillisecond);
 
 // Socket ingest over UDS: 1 connection (the per-core bar) and 4 (fan-in),
 // plus the telemetry-on twins of the /1 runs.

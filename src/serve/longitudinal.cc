@@ -68,8 +68,15 @@ UserReplayTable::FrameClass UserReplayTable::Classify(
   if (trust_replays) {
     const std::uint64_t hash =
         XxHash64(frame.data(), frame.size(), kFrameHashSeed);
-    if (std::find(entry.hashes.begin(), entry.hashes.end(), hash) !=
-        entry.hashes.end()) {
+    // last_hash is one of `hashes`, so checking it first changes no verdict;
+    // it only skips the history scan for the usual replay of the newest
+    // frame.
+    const bool replay =
+        (!entry.hashes.empty() && hash == entry.last_hash) ||
+        std::find(entry.hashes.begin(), entry.hashes.end(), hash) !=
+            entry.hashes.end();
+    entry.last_hash = hash;
+    if (replay) {
       ++shard.epoch_memoized;
       return FrameClass::kMemoized;
     }
@@ -77,6 +84,8 @@ UserReplayTable::FrameClass UserReplayTable::Classify(
   }
   ++entry.fresh;
   ++shard.epoch_fresh;
+  ++shard.total_fresh;
+  shard.max_fresh = std::max(shard.max_fresh, entry.fresh);
   return FrameClass::kFresh;
 }
 
@@ -93,16 +102,14 @@ UserReplayTable::EpochTallies UserReplayTable::SealEpoch() {
   return tallies;
 }
 
-UserReplayTable::UserStats UserReplayTable::Scan() const {
+UserReplayTable::UserStats UserReplayTable::Totals() const {
   UserStats stats;
   for (const auto& shard_ptr : shards_) {
     const Shard& shard = *shard_ptr;
     std::lock_guard<std::mutex> guard(shard.mutex);
     stats.users += static_cast<long long>(shard.users.size());
-    for (const auto& [user, entry] : shard.users) {
-      stats.total_fresh += entry.fresh;
-      stats.max_fresh = std::max(stats.max_fresh, entry.fresh);
-    }
+    stats.total_fresh += shard.total_fresh;
+    stats.max_fresh = std::max(stats.max_fresh, shard.max_fresh);
   }
   return stats;
 }
@@ -152,33 +159,42 @@ LongitudinalCollector::LongitudinalCollector(
 }
 
 long long LongitudinalCollector::OpenEpoch() {
-  LDPR_REQUIRE(!open_, "cannot open an epoch while epoch "
-                           << next_epoch_ - 1 << " is still ingesting");
-  open_ = true;
+  const long long epoch = next_epoch_.load(std::memory_order_relaxed);
+  LDPR_REQUIRE(!open(), "cannot open an epoch while epoch "
+                            << epoch - 1 << " is still ingesting");
+  next_epoch_.store(epoch + 1, std::memory_order_relaxed);
   opened_at_ = MonotonicSeconds();
   if (obs_) obs_->epoch_open->Set(1);
-  return next_epoch_++;
+  // Release: a producer that sees the epoch open also sees its id.
+  open_.store(true, std::memory_order_release);
+  return epoch;
 }
 
 Collector& LongitudinalCollector::collector() {
-  LDPR_REQUIRE(open_, "ingest requires an open epoch (OpenEpoch first)");
+  LDPR_REQUIRE(open(), "ingest requires an open epoch (OpenEpoch first)");
   return collector_;
 }
 
 IngestResult LongitudinalCollector::Ingest(const IngestRequest& request) {
-  if (!open_) {
+  // Lock-free early out for the between-epochs stream.
+  if (!open()) {
     closed_epoch_rejects_.fetch_add(1, std::memory_order_relaxed);
     return IngestResult::Rejected(RejectReason::kClosedEpoch);
   }
-  if (!request.user.has_value() || !options_.track_users) {
-    return collector_.Ingest(request);
-  }
-  // Classification doubles as the admission gate: it runs under the lane
-  // mutex after frame validation (so a malformed frame is kMalformed, never
-  // kDuplicate, and a refused duplicate reaches no aggregator) and takes
-  // the replay-table shard mutex strictly inside the lane mutex.
-  const long long epoch = next_epoch_ - 1;
+  // The gate runs under the lane mutex after frame validation. Seal()
+  // closes the epoch before its Drain takes each lane mutex, so re-checking
+  // open_ here puts a frame racing the seal either wholly in this epoch
+  // (staged before the drain, classified before SealEpoch) or into a
+  // kClosedEpoch reject on the lane, which the next seal drains.
+  // Classification doubles as the admission gate for attributed frames (a
+  // malformed frame is kMalformed, never kDuplicate, and a refused
+  // duplicate reaches no aggregator) and takes the replay-table shard mutex
+  // strictly inside the lane mutex.
+  const bool classify = request.user.has_value() && options_.track_users;
   return collector_.IngestGated(request, [&](const IngestRequest& r) {
+    if (!open()) return RejectReason::kClosedEpoch;
+    if (!classify) return RejectReason::kNone;
+    const long long epoch = next_epoch_.load(std::memory_order_relaxed) - 1;
     const UserReplayTable::FrameClass verdict =
         users_.Classify(*r.user, r.frame, epoch,
                         options_.memoized_replays_free,
@@ -190,14 +206,17 @@ IngestResult LongitudinalCollector::Ingest(const IngestRequest& request) {
 }
 
 const EstimateSnapshot& LongitudinalCollector::Seal() {
-  LDPR_REQUIRE(open_, "no open epoch to seal");
+  LDPR_REQUIRE(open(), "no open epoch to seal");
   obs::Span seal_span(obs_ ? obs_->seal_seconds.get() : nullptr);
+  // Close before draining: from here on the gate refuses new frames, and
+  // the drain below waits out any frame already admitted under a lane lock.
+  open_.store(false, std::memory_order_release);
   const double seconds = MonotonicSeconds() - opened_at_;
   const fo::FrequencyOracle& oracle = collector_.oracle();
   Collector::Drained drained = collector_.Drain();
 
   EstimateSnapshot snapshot;
-  snapshot.epoch = next_epoch_ - 1;
+  snapshot.epoch = next_epoch_.load(std::memory_order_relaxed) - 1;
   snapshot.n = drained.n;
   snapshot.counts = std::move(drained.counts);
   if (drained.n > 0) {
@@ -248,7 +267,7 @@ const EstimateSnapshot& LongitudinalCollector::Seal() {
     cumulative.RecordSmpBulk(0, epsilon, cumulative_fresh_);
     cumulative.RecordMemoized(cumulative_memoized_);
     cumulative_report_ = cumulative.MakeReport();
-    const UserReplayTable::UserStats stats = users_.Scan();
+    const UserReplayTable::UserStats stats = users_.Totals();
     cumulative_report_.users = stats.users;
     if (stats.users > 0) {
       // Per-user sequential totals over *tracked* users (anonymous ingest
@@ -303,7 +322,6 @@ const EstimateSnapshot& LongitudinalCollector::Seal() {
 
   window_span.Stop();
 
-  open_ = false;
   history_.push_back(std::move(snapshot));
   if (options_.history_cap > 0 && history_.size() > options_.history_cap) {
     history_.pop_front();

@@ -157,12 +157,17 @@ class UserReplayTable {
     long long total_fresh = 0;  ///< fresh randomizations across all users
     long long max_fresh = 0;    ///< worst user's fresh count
   };
-  /// Cumulative per-user statistics; O(users).
-  UserStats Scan() const;
+  /// Cumulative per-user statistics, summed from per-shard running totals;
+  /// O(shards), never a walk over the users.
+  UserStats Totals() const;
 
  private:
   struct User {
     std::vector<std::uint64_t> hashes;  ///< distinct frames sent, in order
+    /// Hash of the newest admitted frame, always a member of `hashes` once
+    /// that is non-empty: the common replay (the client's current permanent
+    /// answer) classifies without reading the history.
+    std::uint64_t last_hash = 0;
     long long fresh = 0;
     long long last_epoch = -1;  ///< newest epoch with an admitted report
   };
@@ -171,6 +176,10 @@ class UserReplayTable {
     std::unordered_map<long long, User> users;
     long long epoch_fresh = 0;
     long long epoch_memoized = 0;
+    // Running per-user totals. Users are never evicted and a user's fresh
+    // count only grows, so the running max is exact.
+    long long total_fresh = 0;
+    long long max_fresh = 0;
   };
 
   std::vector<std::unique_ptr<Shard>> shards_;
@@ -187,7 +196,7 @@ class LongitudinalCollector final : public IngestSink {
   /// Returns the new epoch id (0, 1, ...).
   long long OpenEpoch();
 
-  bool open() const { return open_; }
+  bool open() const { return open_.load(std::memory_order_acquire); }
 
   /// The live collector producers ingest into; requires an open epoch.
   /// Reports ingested directly (without a user id) are charged as fresh.
@@ -202,15 +211,21 @@ class LongitudinalCollector final : public IngestSink {
   /// fresh randomization. Anonymous requests skip classification. With no
   /// epoch open every request is rejected kClosedEpoch (counted into the
   /// NEXT sealed epoch's stats) — never thrown, so a socket transport can
-  /// keep draining between epochs.
+  /// keep draining between epochs. Safe to call concurrently with Seal()
+  /// and OpenEpoch(): whether a frame belongs to the sealing epoch is
+  /// decided under its lane mutex, which the seal's drain also takes.
   IngestResult Ingest(const IngestRequest& request) override;
 
   /// Seals the open epoch: merges the lanes, estimates (raw + consistency
   /// post-processing), merges the replay-table shard ledgers into the
   /// epoch's and the cumulative LedgerReport, advances the window delta
   /// state, and archives the snapshot. O(lanes * k + user_shards)
-  /// regardless of how many reports were ingested. The returned reference
-  /// stays valid until history_cap evictions (forever when the cap is 0).
+  /// regardless of how many reports were ingested or users tracked. The
+  /// epoch closes before the lanes drain, so a frame racing the seal is
+  /// either in this epoch (ledger and estimate both) or a kClosedEpoch
+  /// reject. The returned reference stays valid until history_cap
+  /// evictions (forever when the cap is 0). Seal() and OpenEpoch() must be
+  /// called from one thread at a time.
   const EstimateSnapshot& Seal();
 
   /// Sealed epochs, oldest first (bounded by history_cap).
@@ -267,8 +282,10 @@ class LongitudinalCollector final : public IngestSink {
   };
   std::unique_ptr<Obs> obs_;
 
-  bool open_ = false;
-  long long next_epoch_ = 0;
+  // Read by producers without a lock; the lane mutex orders them against
+  // Seal()'s drain (see Ingest).
+  std::atomic<bool> open_{false};
+  std::atomic<long long> next_epoch_{0};
   double opened_at_ = 0.0;
   /// kClosedEpoch rejects since the last seal (they arrive outside any
   /// epoch, so they fold into the next sealed snapshot's stats).

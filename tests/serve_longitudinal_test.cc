@@ -6,9 +6,16 @@
 // memoization off), ledger totals must be exact under any lane/thread
 // configuration, and the bounded history cap must evict oldest-first.
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <deque>
+#include <map>
+#include <set>
+#include <string>
+#include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -455,6 +462,198 @@ TEST(ServeLongitudinalLedgerTest, IngestOutsideAnEpochIsAClosedEpochReject) {
   EXPECT_EQ(sealed.stats.rejected, 1);
   // The between-epochs reject folds into the first seal after it happened.
   EXPECT_EQ(sealed.stats.closed_epoch, 1);
+}
+
+// Seal() racing a live producer: every frame lands wholly in one epoch (its
+// estimate and its ledger) or is a counted kClosedEpoch reject, never in
+// one epoch's replay tallies and the next epoch's lanes. Anonymous frames
+// are rare so an epoch's tallies cannot hide a misfiled attributed frame.
+TEST(ServeLongitudinalLedgerTest, SealRacingAProducerFilesEveryFrameOnce) {
+  auto oracle = fo::MakeOracle(fo::Protocol::kGrr, 8, 1.0);
+  LongitudinalOptions options;
+  options.collector.lanes = 2;
+  // Users cycle through a bounded id range; with one report per epoch off,
+  // a repeat classifies by hash instead of being refused, so every frame
+  // is either accepted or a closed-epoch reject.
+  options.one_report_per_epoch = false;
+  LongitudinalCollector collector(*oracle, options);
+  std::vector<std::vector<std::uint8_t>> frames;
+  for (int v = 0; v < oracle->k(); ++v) {
+    fo::Report report;
+    report.value = v;
+    frames.push_back(fo::SerializeReport(*oracle, report));
+  }
+
+  std::atomic<bool> stop{false};
+  std::atomic<long long> sent{0};
+  std::thread producer([&] {
+    for (long long i = 0; !stop.load(std::memory_order_relaxed); ++i) {
+      IngestRequest request{frames[static_cast<std::size_t>(i % 8)]};
+      if (i % 256 != 0) request.user = i % (1 << 16);
+      request.lane = static_cast<int>(i % 2);
+      collector.Ingest(request);
+      sent.store(i + 1, std::memory_order_relaxed);
+    }
+  });
+  // Start cycling only once the producer is streaming.
+  while (sent.load(std::memory_order_relaxed) < 1000) {
+    std::this_thread::yield();
+  }
+
+  const int cycles = 2000;
+  long long accepted = 0;
+  long long closed = 0;
+  int throws = 0;
+  int mismatched = 0;
+  auto seal = [&] {
+    try {
+      const EstimateSnapshot& sealed = collector.Seal();
+      accepted += sealed.stats.reports;
+      closed += sealed.stats.closed_epoch;
+      if (sealed.ledger.fresh + sealed.ledger.memoized !=
+              sealed.stats.reports ||
+          sealed.n != sealed.stats.reports) {
+        ++mismatched;
+      }
+    } catch (const std::exception&) {
+      ++throws;
+    }
+  };
+  for (int c = 0; c < cycles && throws == 0; ++c) {
+    collector.OpenEpoch();
+    seal();
+  }
+  stop.store(true, std::memory_order_relaxed);
+  producer.join();
+  // Rejects that arrived after the last seal fold into one more epoch.
+  if (throws == 0) {
+    collector.OpenEpoch();
+    seal();
+  }
+
+  EXPECT_EQ(throws, 0);
+  EXPECT_EQ(mismatched, 0);
+  EXPECT_EQ(accepted + closed, sent.load());
+}
+
+// Per-user ledger stats (users, mean and worst per-user epsilon) after every
+// seal equal a brute-force recount over a (user -> frames seen) model, for
+// users that churn every epoch, never change, flip A -> B -> A (a replay
+// the newest-frame check misses) or re-draw from a small set; with
+// same-epoch duplicates and anonymous frames mixed in.
+class ServeLongitudinalUserStatsTest
+    : public ::testing::TestWithParam<std::tuple<int, bool, bool>> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    ShardsReplaysAdmission, ServeLongitudinalUserStatsTest,
+    ::testing::Combine(::testing::Values(1, 64), ::testing::Bool(),
+                       ::testing::Bool()),
+    [](const auto& info) {
+      return "shards" + std::to_string(std::get<0>(info.param)) +
+             (std::get<1>(info.param) ? "_memo" : "_nomemo") +
+             (std::get<2>(info.param) ? "_onePerEpoch" : "_repeats");
+    });
+
+TEST_P(ServeLongitudinalUserStatsTest, MatchesBruteForceRecount) {
+  const auto [shards, trust_replays, one_per_epoch] = GetParam();
+  const int k = 16;
+  const int users = 300;
+  const int epochs = 24;
+  const double eps = 0.7;
+  auto oracle = fo::MakeOracle(fo::Protocol::kGrr, k, eps);
+  std::vector<std::vector<std::uint8_t>> frames;
+  for (int v = 0; v < k; ++v) {
+    fo::Report report;
+    report.value = v;
+    frames.push_back(fo::SerializeReport(*oracle, report));
+  }
+
+  LongitudinalOptions options;
+  options.collector.lanes = 3;
+  options.user_shards = shards;
+  options.memoized_replays_free = trust_replays;
+  options.one_report_per_epoch = one_per_epoch;
+  LongitudinalCollector collector(*oracle, options);
+
+  struct ModelUser {
+    std::set<int> seen;
+    long long fresh = 0;
+    long long last_epoch = -1;
+  };
+  std::map<long long, ModelUser> model;
+  Rng rng(1401);
+  for (int e = 0; e < epochs; ++e) {
+    collector.OpenEpoch();
+    long long epoch_fresh = 0;
+    long long epoch_memoized = 0;
+    auto send = [&](long long user, int value) {
+      ModelUser& m = model[user];
+      const bool duplicate = one_per_epoch && m.last_epoch == e;
+      const IngestResult result = collector.Ingest(
+          {frames[static_cast<std::size_t>(value)], user,
+           static_cast<int>(user % 3)});
+      EXPECT_EQ(result.accepted, !duplicate);
+      if (duplicate) return;
+      m.last_epoch = e;
+      if (trust_replays && !m.seen.insert(value).second) {
+        ++epoch_memoized;
+        return;
+      }
+      ++m.fresh;
+      ++epoch_fresh;
+    };
+    for (long long u = 0; u < users; ++u) {
+      const int a = static_cast<int>(u % k);
+      const int b = static_cast<int>((u + 5) % k);
+      int value = a;
+      switch (u % 4) {
+        case 0:  // churns every epoch, revisiting values after k epochs
+          value = static_cast<int>((u + e) % k);
+          break;
+        case 1:  // never changes
+          break;
+        case 2:  // A -> B -> A -> ...
+          value = e % 2 == 0 ? a : b;
+          break;
+        default:  // re-draws from {a, b, c}
+          value = static_cast<int>(
+              (u + 5 * static_cast<long long>(rng.UniformInt(3))) % k);
+          break;
+      }
+      // Users join over time, so the population (and the worst user)
+      // changes between seals.
+      if (u >= 50 + 10 * e) continue;
+      send(u, value);
+      // Same-epoch repeats: the same frame and a different one.
+      if (u % 7 == 0) send(u, value);
+      if (u % 11 == 0) send(u, (value + 1) % k);
+    }
+    // A few anonymous frames, charged fresh but attributed to no user.
+    for (int i = 0; i < 5; ++i) {
+      ASSERT_TRUE(collector.Ingest({frames[static_cast<std::size_t>(i)]})
+                      .accepted);
+    }
+    const EstimateSnapshot& sealed = collector.Seal();
+
+    long long total_fresh = 0;
+    long long max_fresh = 0;
+    for (const auto& [user, m] : model) {
+      total_fresh += m.fresh;
+      max_fresh = std::max(max_fresh, m.fresh);
+    }
+    const long long tracked = static_cast<long long>(model.size());
+    const privacy::LedgerReport& cumulative = sealed.cumulative_ledger;
+    EXPECT_EQ(sealed.ledger.fresh, epoch_fresh + 5) << "epoch " << e;
+    EXPECT_EQ(sealed.ledger.memoized, epoch_memoized) << "epoch " << e;
+    EXPECT_EQ(cumulative.users, tracked) << "epoch " << e;
+    EXPECT_EQ(cumulative.mean_user_epsilon,
+              static_cast<double>(total_fresh) /
+                  static_cast<double>(tracked) * eps)
+        << "epoch " << e;
+    EXPECT_EQ(cumulative.max_user_epsilon,
+              static_cast<double>(max_fresh) * eps)
+        << "epoch " << e;
+  }
 }
 
 // ---------------------------------------------------------------------------

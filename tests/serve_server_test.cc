@@ -334,6 +334,18 @@ TEST(ServeIngestTest, ReplayTableClassifiesFreshMemoizedDuplicate) {
   // one_per_epoch off: same-epoch resubmissions classify by hash instead.
   EXPECT_EQ(table.Classify(3, a, 0, true, false), FrameClass::kFresh);
   EXPECT_EQ(table.Classify(3, a, 0, true, false), FrameClass::kMemoized);
+  // A -> B -> A: the return to A is not the newest frame, so it must still
+  // be found in the user's older history; then both replays, either way.
+  EXPECT_EQ(table.Classify(4, a, 0), FrameClass::kFresh);
+  EXPECT_EQ(table.Classify(4, b, 1), FrameClass::kFresh);
+  EXPECT_EQ(table.Classify(4, a, 2), FrameClass::kMemoized);
+  EXPECT_EQ(table.Classify(4, a, 3), FrameClass::kMemoized);
+  EXPECT_EQ(table.Classify(4, b, 4), FrameClass::kMemoized);
+  EXPECT_EQ(table.Classify(4, b, 5), FrameClass::kMemoized);
+  const UserReplayTable::UserStats stats = table.Totals();
+  EXPECT_EQ(stats.users, 4);
+  EXPECT_EQ(stats.total_fresh, 2 + 2 + 1 + 2);
+  EXPECT_EQ(stats.max_fresh, 2);
 }
 
 TEST(ServeIngestTest, FromCollectorOptionsRoundTrips) {
