@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <optional>
 #include <span>
 #include <thread>
 #include <vector>
@@ -27,6 +28,7 @@
 #include "serve/loadgen.h"
 #include "serve/longitudinal.h"
 #include "serve/server.h"
+#include "serve/wire_session.h"
 
 namespace {
 
@@ -293,6 +295,39 @@ void BM_ServeSocketIngest(benchmark::State& state, fo::Protocol protocol,
   benchmark::DoNotOptimize(collector.Drain());
 }
 
+// The socket front door's per-chunk layer without the socket: anonymous
+// records framed once, then fed to WireSession::Feed in 64 KiB chunks
+// (records tear across chunk boundaries as they do off a read()) into an
+// EpochManager's open epoch on one lane. Each chunk is one IngestAll pass
+// under one lane lock: framing, validation and staging, plus the block
+// decodes the staged rows trigger. items_per_second is records ingested.
+void BM_ServeFeedChunk(benchmark::State& state, fo::Protocol protocol) {
+  const long long n = state.range(0);
+  auto oracle = fo::MakeOracle(protocol, kDomain, 1.0);
+  const serve::EncodedStream stream = MakeStream(*oracle, n);
+  const std::vector<std::uint8_t> wire =
+      serve::FrameStreamRecords(stream, 0, n, /*first_user=*/std::nullopt);
+  serve::EpochManager manager(*oracle, serve::CollectorOptions{.lanes = 1});
+  manager.OpenEpoch();
+  constexpr std::size_t kChunk = 64 << 10;
+  long long ingested = 0;
+  for (auto _ : state) {
+    serve::WireSession session(manager.longitudinal(), nullptr, {}, 0, 0.0);
+    for (std::size_t at = 0; at < wire.size(); at += kChunk) {
+      session.Feed({wire.data() + at, std::min(kChunk, wire.size() - at)},
+                   0.0);
+    }
+    ingested += session.counters().ingest.reports;
+  }
+  if (ingested != state.iterations() * n) {
+    state.SkipWithError("not every framed record was ingested");
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<long long>(wire.size()));
+  benchmark::DoNotOptimize(manager.Seal());
+}
+
 // Client side of the pipeline: randomize + serialize (the load generator's
 // per-producer work).
 void BM_ServeEncode(benchmark::State& state, fo::Protocol protocol) {
@@ -373,6 +408,12 @@ BENCHMARK_CAPTURE(BM_ServeSocketIngest, grr_obs, fo::Protocol::kGrr, true)
     ->Arg(1)->Unit(benchmark::kMillisecond)->UseRealTime();
 BENCHMARK_CAPTURE(BM_ServeSocketIngest, oue_obs, fo::Protocol::kOue, true)
     ->Arg(1)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+// The socket path's per-chunk layer (framing + one IngestAll per chunk).
+BENCHMARK_CAPTURE(BM_ServeFeedChunk, grr, fo::Protocol::kGrr)->Arg(1 << 20)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_ServeFeedChunk, oue, fo::Protocol::kOue)->Arg(1 << 20)
+    ->Unit(benchmark::kMillisecond);
 
 BENCHMARK_CAPTURE(BM_ServeEncode, grr, fo::Protocol::kGrr)->Arg(1 << 18)
     ->Unit(benchmark::kMillisecond);

@@ -61,9 +61,21 @@ Collector::~Collector() {
   if (obs_) obs_->registry->UnregisterCallback(obs_->callback_id);
 }
 
+namespace {
+
+// The bare collector's gate: no admission rule beyond validation.
+constexpr auto kAdmitAll = [](const IngestRequest&) {
+  return RejectReason::kNone;
+};
+
+}  // namespace
+
 IngestResult Collector::Ingest(const IngestRequest& request) {
-  return IngestGated(request,
-                     [](const IngestRequest&) { return RejectReason::kNone; });
+  return IngestGated(request, kAdmitAll);
+}
+
+void Collector::IngestAll(IngestSource& source) {
+  IngestAllGated(source, kAdmitAll);
 }
 
 void Collector::FlushLocked(Lane& lane) {
@@ -94,8 +106,7 @@ IngestCounters Collector::TotalsNow() const {
 }
 
 int Collector::staged(int lane_hint) const {
-  const Lane& lane =
-      *lanes_[static_cast<std::size_t>(lane_hint) % lanes_.size()];
+  const Lane& lane = LaneFor(lane_hint);
   std::lock_guard<std::mutex> guard(lane.mutex);
   return lane.staged;
 }
@@ -103,7 +114,7 @@ int Collector::staged(int lane_hint) const {
 void Collector::IngestHistogram(int lane_hint,
                                 const std::vector<long long>& histogram,
                                 Rng& rng) {
-  Lane& lane = *lanes_[static_cast<std::size_t>(lane_hint) % lanes_.size()];
+  Lane& lane = LaneFor(lane_hint);
   std::lock_guard<std::mutex> guard(lane.mutex);
   const long long before = lane.aggregator->n();
   lane.aggregator->AccumulateHistogram(histogram, rng);

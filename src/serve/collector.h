@@ -120,27 +120,36 @@ class Collector final : public IngestSink {
   /// (the mutex is held) and must order any locks of their own after it.
   template <typename Gate>
   IngestResult IngestGated(const IngestRequest& request, Gate&& gate) {
-    Lane& lane =
-        *lanes_[static_cast<std::size_t>(request.lane) % lanes_.size()];
+    Lane& lane = LaneFor(request.lane);
     std::lock_guard<std::mutex> guard(lane.mutex);
-    if (!lane.decoder.Validate(request.frame)) {
-      ++lane.tallies.rejected;
-      return IngestResult::Rejected(RejectReason::kMalformed);
+    return IngestLocked(lane, request, gate);
+  }
+
+  /// Ingests every request of `source` (no gate). Same results as Ingest
+  /// per request; see IngestAllGated.
+  void IngestAll(IngestSource& source) override;
+
+  /// IngestGated over a whole source: the lane mutex is taken once per run
+  /// of consecutive requests that map to the same lane, and each request
+  /// runs the same validate -> gate -> stage body as IngestGated.
+  /// source.Next and source.Done run under that mutex (lock order in
+  /// serve/ingest.h), so a Drain racing the source waits for the run in
+  /// progress to end.
+  template <typename Gate>
+  void IngestAllGated(IngestSource& source, Gate&& gate) {
+    IngestRequest request;
+    bool more = source.Next(request);
+    while (more) {
+      const int hint = request.lane;
+      Lane& lane = LaneFor(hint);
+      std::lock_guard<std::mutex> guard(lane.mutex);
+      do {
+        source.Done(request, IngestLocked(lane, request, gate));
+        more = source.Next(request);
+        // Same hint, same lane: skips the modulo on the usual run.
+      } while (more &&
+               (request.lane == hint || &LaneFor(request.lane) == &lane));
     }
-    const RejectReason verdict = gate(request);
-    if (verdict != RejectReason::kNone) {
-      CountReject(lane.tallies, verdict);
-      return IngestResult::Rejected(verdict);
-    }
-    // Stage the admitted frame; all decode work happens at flush
-    // (AccumulateWireBlock) when the block fills or the epoch seals.
-    std::memcpy(lane.staging.data() +
-                    static_cast<std::size_t>(lane.staged) * stage_stride_,
-                request.frame.data(), request.frame.size());
-    if (++lane.staged == fo::bitslice::kBlockRows) FlushLocked(lane);
-    ++lane.tallies.reports;
-    lane.tallies.bytes += static_cast<long long>(request.frame.size());
-    return IngestResult::Accepted();
   }
 
   /// Closed-form lane feed for the fast simulation profile: draws the
@@ -207,6 +216,35 @@ class Collector final : public IngestSink {
                 "lanes must start on their own cache line");
   static_assert(sizeof(Lane) % 64 == 0,
                 "lane padding must cover whole cache lines");
+
+  Lane& LaneFor(int hint) const {
+    return *lanes_[static_cast<std::size_t>(hint) % lanes_.size()];
+  }
+
+  /// The one validate -> gate -> stage body behind IngestGated and
+  /// IngestAllGated. Caller holds the lane mutex.
+  template <typename Gate>
+  IngestResult IngestLocked(Lane& lane, const IngestRequest& request,
+                            Gate& gate) {
+    if (!lane.decoder.Validate(request.frame)) {
+      ++lane.tallies.rejected;
+      return IngestResult::Rejected(RejectReason::kMalformed);
+    }
+    const RejectReason verdict = gate(request);
+    if (verdict != RejectReason::kNone) {
+      CountReject(lane.tallies, verdict);
+      return IngestResult::Rejected(verdict);
+    }
+    // Stage the admitted frame; all decode work happens at flush
+    // (AccumulateWireBlock) when the block fills or the epoch seals.
+    std::memcpy(lane.staging.data() +
+                    static_cast<std::size_t>(lane.staged) * stage_stride_,
+                request.frame.data(), request.frame.size());
+    if (++lane.staged == fo::bitslice::kBlockRows) FlushLocked(lane);
+    ++lane.tallies.reports;
+    lane.tallies.bytes += static_cast<long long>(request.frame.size());
+    return IngestResult::Accepted();
+  }
 
   /// Decodes the lane's staged rows into its aggregator. Caller holds the
   /// lane mutex.

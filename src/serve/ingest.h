@@ -18,9 +18,31 @@
 // acceptance) both surface through the same RejectReason so a deployment
 // can alert on each class independently.
 //
-// The older Ingest(lane, ptr, size) / Ingest(lane, vector) /
-// IngestUser(user, lane, ...) overload families survive one release as
-// [[deprecated]] inline shims on the concrete collectors.
+// A transport that frames many records per read (WireSession, one socket
+// read chunk at a time) hands the sink the whole chunk instead of one
+// request at a time:
+//
+//   void IngestSink::IngestAll(IngestSource&)
+//
+// The sink pulls requests with IngestSource::Next until it returns false
+// and reports each outcome with IngestSource::Done, in order, before the
+// next pull. The default loops Next -> Ingest -> Done, so a sink that only
+// implements Ingest behaves exactly as if each record were pushed on its
+// own. The lane-striped collectors override it to take a lane mutex once
+// per run of same-lane requests rather than once per record; the result
+// of every request is what Ingest would have returned for it. There is no
+// intermediate request array: each request is framed, ingested and tallied
+// in one pass over the chunk.
+//
+// Lock order. An overriding sink calls Next and Done while it holds a lane
+// mutex, so whatever a source does in them (WireSession's per-user
+// admission) nests inside it. The order across the serve layer is
+//
+//   lane mutex -> admission shard (UserAdmissionTable)
+//              -> replay shard (UserReplayTable)
+//
+// and neither shard mutex is ever held while taking a lane mutex. A source
+// must not call back into the sink from Next or Done.
 
 #include <cstdint>
 #include <optional>
@@ -110,6 +132,21 @@ struct IngestResult {
   }
 };
 
+/// A pull stream of requests, such as one transport read chunk. The calling
+/// contract and the lock order are at the top of this file.
+class IngestSource {
+ public:
+  /// Fills `request` with the next request and returns true, or returns
+  /// false when the stream has none left. The request's frame must stay
+  /// valid until the matching Done.
+  virtual bool Next(IngestRequest& request) = 0;
+  /// The sink's verdict on the request the last Next produced.
+  virtual void Done(const IngestRequest& request, IngestResult result) = 0;
+
+ protected:
+  ~IngestSource() = default;
+};
+
 /// The one ingest interface. Implementations are thread-safe per their own
 /// documentation (the collectors stripe over lanes); Ingest never throws on
 /// malformed or inadmissible frames — those come back as counted rejects.
@@ -118,6 +155,14 @@ class IngestSink {
   virtual ~IngestSink() = default;
 
   virtual IngestResult Ingest(const IngestRequest& request) = 0;
+
+  /// Ingests every request `source` yields, reporting each result through
+  /// source.Done before pulling the next. Overrides must give each request
+  /// the result Ingest would have given it.
+  virtual void IngestAll(IngestSource& source) {
+    IngestRequest request;
+    while (source.Next(request)) source.Done(request, Ingest(request));
+  }
 };
 
 }  // namespace ldpr::serve

@@ -181,6 +181,24 @@ IngestResult LongitudinalCollector::Ingest(const IngestRequest& request) {
     closed_epoch_rejects_.fetch_add(1, std::memory_order_relaxed);
     return IngestResult::Rejected(RejectReason::kClosedEpoch);
   }
+  return collector_.IngestGated(request, [this](const IngestRequest& r) {
+    return Gate(r);
+  });
+}
+
+void LongitudinalCollector::IngestAll(IngestSource& source) {
+  // Closed at the start of the chunk: the per-record path keeps the
+  // lock-free early out (and admits again if an epoch opens mid-chunk).
+  if (!open()) {
+    IngestSink::IngestAll(source);
+    return;
+  }
+  collector_.IngestAllGated(source, [this](const IngestRequest& r) {
+    return Gate(r);
+  });
+}
+
+RejectReason LongitudinalCollector::Gate(const IngestRequest& request) {
   // The gate runs under the lane mutex after frame validation. Seal()
   // closes the epoch before its Drain takes each lane mutex, so re-checking
   // open_ here puts a frame racing the seal either wholly in this epoch
@@ -190,19 +208,18 @@ IngestResult LongitudinalCollector::Ingest(const IngestRequest& request) {
   // malformed frame is kMalformed, never kDuplicate, and a refused
   // duplicate reaches no aggregator) and takes the replay-table shard mutex
   // strictly inside the lane mutex.
-  const bool classify = request.user.has_value() && options_.track_users;
-  return collector_.IngestGated(request, [&](const IngestRequest& r) {
-    if (!open()) return RejectReason::kClosedEpoch;
-    if (!classify) return RejectReason::kNone;
-    const long long epoch = next_epoch_.load(std::memory_order_relaxed) - 1;
-    const UserReplayTable::FrameClass verdict =
-        users_.Classify(*r.user, r.frame, epoch,
-                        options_.memoized_replays_free,
-                        options_.one_report_per_epoch);
-    return verdict == UserReplayTable::FrameClass::kDuplicate
-               ? RejectReason::kDuplicate
-               : RejectReason::kNone;
-  });
+  if (!open()) return RejectReason::kClosedEpoch;
+  if (!request.user.has_value() || !options_.track_users) {
+    return RejectReason::kNone;
+  }
+  const long long epoch = next_epoch_.load(std::memory_order_relaxed) - 1;
+  const UserReplayTable::FrameClass verdict =
+      users_.Classify(*request.user, request.frame, epoch,
+                      options_.memoized_replays_free,
+                      options_.one_report_per_epoch);
+  return verdict == UserReplayTable::FrameClass::kDuplicate
+             ? RejectReason::kDuplicate
+             : RejectReason::kNone;
 }
 
 const EstimateSnapshot& LongitudinalCollector::Seal() {

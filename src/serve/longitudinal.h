@@ -216,6 +216,14 @@ class LongitudinalCollector final : public IngestSink {
   /// decided under its lane mutex, which the seal's drain also takes.
   IngestResult Ingest(const IngestRequest& request) override;
 
+  /// Ingests a whole source with one lane mutex per run of same-lane
+  /// requests (Collector::IngestAllGated). Every request gets exactly what
+  /// Ingest would give it: the open-epoch re-check and the replay
+  /// classification still run per request under the lane mutex, so a
+  /// Seal() racing the source waits for at most the run in progress, and
+  /// each frame is either in the sealing epoch or a kClosedEpoch reject.
+  void IngestAll(IngestSource& source) override;
+
   /// Seals the open epoch: merges the lanes, estimates (raw + consistency
   /// post-processing), merges the replay-table shard ledgers into the
   /// epoch's and the cumulative LedgerReport, advances the window delta
@@ -245,6 +253,10 @@ class LongitudinalCollector final : public IngestSink {
   int lanes() const { return collector_.lanes(); }
 
  private:
+  /// The admission gate behind Ingest and IngestAll (runs under the lane
+  /// mutex): closed-epoch re-check, then replay classification.
+  RejectReason Gate(const IngestRequest& request);
+
   LongitudinalOptions options_;
   Collector collector_;
   UserReplayTable users_;

@@ -23,10 +23,11 @@
 //     (too many connections rate-paused for longer than the grace period),
 //     the lowest-priority connection (WireSession::Priority) is dropped.
 //
-// One loop thread owns all sockets and sessions; Ingest calls run on it.
-// The sink's lock-striped lanes make that safe alongside any in-process
-// producers, and connections are assigned round-robin lane hints so
-// concurrent connections decode into distinct lanes.
+// One loop thread owns all sockets and sessions; ingest runs on it, one
+// IngestSink::IngestAll call per read chunk. The sink's lock-striped lanes
+// make that safe alongside any in-process producers, and connections are
+// assigned round-robin lane hints so concurrent connections decode into
+// distinct lanes.
 
 #include <atomic>
 #include <cstddef>

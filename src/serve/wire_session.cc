@@ -51,20 +51,17 @@ bool WireSession::Feed(std::span<const std::uint8_t> data, double now) {
     p = buffer_.data();
     n = buffer_.size();
   }
-  std::size_t off = 0;
-  while (n - off >= kRecordHeaderBytes) {
-    const std::size_t body = (static_cast<std::size_t>(p[off]) << 8) |
-                             static_cast<std::size_t>(p[off + 1]);
-    if (body < kRecordUserBytes ||
-        body - kRecordUserBytes > options_.max_frame) {
-      ++counters_.protocol_errors;
-      buffer_.clear();
-      return false;
-    }
-    if (n - off < kRecordHeaderBytes + body) break;
-    ProcessRecord(p + off + kRecordHeaderBytes, body, now);
-    off += kRecordHeaderBytes + body;
+  cursor_ = p;
+  end_ = p + n;
+  now_ = now;
+  protocol_error_ = false;
+  sink_.IngestAll(*this);
+  if (protocol_error_) {
+    ++counters_.protocol_errors;
+    buffer_.clear();
+    return false;
   }
+  const std::size_t off = static_cast<std::size_t>(cursor_ - p);
   if (!buffer_.empty()) {
     buffer_.erase(buffer_.begin(),
                   buffer_.begin() + static_cast<std::ptrdiff_t>(off));
@@ -77,22 +74,38 @@ bool WireSession::Feed(std::span<const std::uint8_t> data, double now) {
   return true;
 }
 
-void WireSession::ProcessRecord(const std::uint8_t* body,
-                                std::size_t body_size, double now) {
-  ++counters_.records;
-  pacing_.Charge(now);
-  const std::uint64_t user_id = ReadBe64(body);
-  IngestRequest request;
-  request.frame = {body + kRecordUserBytes, body_size - kRecordUserBytes};
-  request.lane = lane_;
-  if (user_id != kAnonymousUser) {
-    request.user = static_cast<long long>(user_id);
-    if (users_ != nullptr && !users_->Admit(*request.user, now)) {
-      CountReject(counters_.ingest, RejectReason::kRateLimited);
-      return;
+bool WireSession::Next(IngestRequest& request) {
+  while (static_cast<std::size_t>(end_ - cursor_) >= kRecordHeaderBytes) {
+    const std::size_t body = (static_cast<std::size_t>(cursor_[0]) << 8) |
+                             static_cast<std::size_t>(cursor_[1]);
+    if (body < kRecordUserBytes ||
+        body - kRecordUserBytes > options_.max_frame) {
+      protocol_error_ = true;
+      return false;
     }
+    if (static_cast<std::size_t>(end_ - cursor_) <
+        kRecordHeaderBytes + body) {
+      return false;  // torn tail: Feed keeps it for the next chunk
+    }
+    const std::uint8_t* record = cursor_ + kRecordHeaderBytes;
+    cursor_ = record + body;
+    ++counters_.records;
+    pacing_.Charge(now_);
+    const std::uint64_t user_id = ReadBe64(record);
+    request.frame = {record + kRecordUserBytes, body - kRecordUserBytes};
+    request.lane = lane_;
+    if (user_id == kAnonymousUser) {
+      request.user.reset();
+      return true;
+    }
+    request.user = static_cast<long long>(user_id);
+    if (users_ == nullptr || users_->Admit(*request.user, now_)) return true;
+    CountReject(counters_.ingest, RejectReason::kRateLimited);
   }
-  const IngestResult result = sink_.Ingest(request);
+  return false;
+}
+
+void WireSession::Done(const IngestRequest& request, IngestResult result) {
   if (result.accepted) {
     ++counters_.ingest.reports;
     counters_.ingest.bytes += static_cast<long long>(request.frame.size());

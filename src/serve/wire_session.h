@@ -24,6 +24,14 @@
 // stop reading), and the per-reason counters the server aggregates. It
 // performs no I/O — Feed takes whatever read() produced, which is what
 // makes torn-frame handling fuzzable without sockets.
+//
+// A session is the IngestSource of its own read chunks: Feed points a
+// framing cursor at the chunk and hands the session to
+// IngestSink::IngestAll, whose Next frames, paces and admits one record at
+// a time and whose Done tallies the sink's verdict. So the lane-striped
+// collectors take one lane mutex per chunk, and the per-user Admit runs
+// under it: the lock order is lane mutex -> admission shard -> replay shard
+// (serve/ingest.h).
 
 #include <cstddef>
 #include <cstdint>
@@ -83,7 +91,7 @@ struct SessionCounters {
   }
 };
 
-class WireSession {
+class WireSession final : private IngestSource {
  public:
   /// `sink` and `users` (nullable: no per-user admission) must outlive the
   /// session. `lane` is the lane hint every request from this connection
@@ -93,11 +101,12 @@ class WireSession {
   WireSession(IngestSink& sink, UserAdmissionTable* users,
               const WireSessionOptions& options, int lane, double now);
 
-  /// Consumes one read() chunk: frames complete records (ingesting each),
-  /// buffers a torn tail for the next chunk. Returns false on a protocol
-  /// error — the caller must close the connection; nothing more will be
-  /// processed. `now` timestamps every record in the chunk (one clock read
-  /// per chunk keeps the per-record cost flat).
+  /// Consumes one read() chunk: frames complete records (ingesting each,
+  /// in one IngestAll pass), buffers a torn tail for the next chunk.
+  /// Returns false on a protocol error — the caller must close the
+  /// connection; the records framed before the error are ingested, nothing
+  /// after it is. `now` timestamps every record in the chunk (one clock
+  /// read per chunk keeps the per-record cost flat).
   bool Feed(std::span<const std::uint8_t> data, double now);
 
   /// Earliest time reading should resume; paused() while the pacing debt
@@ -122,8 +131,12 @@ class WireSession {
   int lane() const { return lane_; }
 
  private:
-  void ProcessRecord(const std::uint8_t* body, std::size_t body_size,
-                     double now);
+  /// IngestSource over the chunk Feed is consuming. Next frames records
+  /// from cursor_ (counting, pacing and per-user admission; rate-limited
+  /// records are tallied and skipped) and stops at a torn tail or a
+  /// protocol error; Done tallies the sink's verdict.
+  bool Next(IngestRequest& request) override;
+  void Done(const IngestRequest& request, IngestResult result) override;
 
   IngestSink& sink_;
   UserAdmissionTable* users_;
@@ -133,6 +146,11 @@ class WireSession {
   std::vector<std::uint8_t> buffer_;  ///< torn record tail
   SessionCounters counters_;
   double resume_at_ = 0.0;
+  // Framing cursor over the chunk in flight (valid only inside Feed).
+  const std::uint8_t* cursor_ = nullptr;
+  const std::uint8_t* end_ = nullptr;
+  double now_ = 0.0;
+  bool protocol_error_ = false;
 };
 
 }  // namespace ldpr::serve

@@ -1,6 +1,8 @@
 // Tests for the network front door: token-bucket refill arithmetic
 // (admission), the wire-record framer under torn reads and random split
-// points (wire_session), duplicate (user, epoch) rejection through the
+// points (wire_session), the chunk-at-a-time IngestAll pull path against
+// per-record Ingest (bit-identical counters, snapshots and ledgers, and a
+// Seal racing a chunk), duplicate (user, epoch) rejection through the
 // unified IngestRequest API, the socket server end to end over a
 // Unix-domain socket — sealed snapshots must be bit-identical to the same
 // frames pushed through the in-process path — and the admin scrape
@@ -16,6 +18,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -281,6 +284,387 @@ TEST(WireSessionTest, PerUserAdmissionRejectsBeforeTheSink) {
   EXPECT_EQ(session.counters().ingest.rate_limited, 1);
   // The rate-limited record never reached the sink's lanes.
   EXPECT_EQ(fx.collector.Drain().n, 2);
+}
+
+// ---------------------------------------------------------------------------
+// The pull path: WireSession as IngestSource, one lane lock per chunk
+// ---------------------------------------------------------------------------
+
+// Keeps IngestSink's default IngestAll, so every record is pushed through
+// Ingest on its own: the per-record path the collectors' one-lock-per-run
+// IngestAll must reproduce exactly.
+class PerRecordSink final : public IngestSink {
+ public:
+  explicit PerRecordSink(IngestSink& inner) : inner_(inner) {}
+  IngestResult Ingest(const IngestRequest& request) override {
+    return inner_.Ingest(request);
+  }
+
+ private:
+  IngestSink& inner_;
+};
+
+void ExpectSameIngest(const IngestCounters& a, const IngestCounters& b) {
+  EXPECT_EQ(a.reports, b.reports);
+  EXPECT_EQ(a.bytes, b.bytes);
+  EXPECT_EQ(a.rejected, b.rejected);
+  EXPECT_EQ(a.duplicates, b.duplicates);
+  EXPECT_EQ(a.rate_limited, b.rate_limited);
+  EXPECT_EQ(a.shed, b.shed);
+  EXPECT_EQ(a.closed_epoch, b.closed_epoch);
+}
+
+void ExpectSameSession(const SessionCounters& a, const SessionCounters& b) {
+  EXPECT_EQ(a.records, b.records);
+  EXPECT_EQ(a.wire_bytes, b.wire_bytes);
+  EXPECT_EQ(a.protocol_errors, b.protocol_errors);
+  ExpectSameIngest(a.ingest, b.ingest);
+}
+
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+void ExpectSameLedger(const privacy::LedgerReport& a,
+                      const privacy::LedgerReport& b) {
+  EXPECT_TRUE(SameBits({a.total_epsilon, a.worst_attribute_epsilon,
+                        a.amplified_epsilon, a.mean_user_epsilon,
+                        a.max_user_epsilon},
+                       {b.total_epsilon, b.worst_attribute_epsilon,
+                        b.amplified_epsilon, b.mean_user_epsilon,
+                        b.max_user_epsilon}));
+  EXPECT_TRUE(SameBits(a.per_attribute, b.per_attribute));
+  EXPECT_EQ(a.fresh, b.fresh);
+  EXPECT_EQ(a.memoized, b.memoized);
+  EXPECT_EQ(a.users, b.users);
+}
+
+// Everything a sealed snapshot holds except its wall-clock timings.
+void ExpectSameSnapshot(const EstimateSnapshot& a, const EstimateSnapshot& b) {
+  EXPECT_EQ(a.epoch, b.epoch);
+  EXPECT_EQ(a.n, b.n);
+  EXPECT_EQ(a.counts, b.counts);
+  EXPECT_TRUE(SameBits(a.frequencies, b.frequencies));
+  EXPECT_TRUE(SameBits(a.consistent, b.consistent));
+  EXPECT_EQ(a.stats.reports, b.stats.reports);
+  EXPECT_EQ(a.stats.bytes, b.stats.bytes);
+  EXPECT_EQ(a.stats.rejected, b.stats.rejected);
+  EXPECT_EQ(a.stats.duplicates, b.stats.duplicates);
+  EXPECT_EQ(a.stats.rate_limited, b.stats.rate_limited);
+  EXPECT_EQ(a.stats.shed, b.stats.shed);
+  EXPECT_EQ(a.stats.closed_epoch, b.stats.closed_epoch);
+  ExpectSameLedger(a.ledger, b.ledger);
+  ExpectSameLedger(a.cumulative_ledger, b.cumulative_ledger);
+}
+
+// Feeds `wire` to `session` in random chunks of 1..max_chunk bytes, so
+// records tear at every kind of boundary.
+void FeedInRandomChunks(WireSession& session,
+                        const std::vector<std::uint8_t>& wire,
+                        std::size_t max_chunk, double now, Rng& rng) {
+  std::size_t offset = 0;
+  while (offset < wire.size()) {
+    const std::size_t chunk = std::min(
+        wire.size() - offset,
+        1 + static_cast<std::size_t>(
+                rng.UniformInt(static_cast<long long>(max_chunk))));
+    ASSERT_TRUE(session.Feed({wire.data() + offset, chunk}, now));
+    offset += chunk;
+  }
+}
+
+// One epoch's traffic for one connection: attributed users (some changing
+// value between epochs, so replays and fresh frames mix), anonymous
+// frames, duplicates within the epoch, users sending past their admission
+// burst, wrong-sized frames and random bytes at the exact frame size. A
+// user always reports on the same connection, in the same order, so the
+// per-user outcome sequence does not depend on how chunks interleave.
+std::vector<std::uint8_t> EpochTraffic(
+    const std::vector<std::vector<std::uint8_t>>& frames, int connection,
+    int epoch, Rng& rng) {
+  const int k = static_cast<int>(frames.size());
+  std::vector<std::uint8_t> wire;
+  for (int u = connection; u < 60; u += 2) {
+    const int value = (u + (u % 3 == 0 ? epoch : 0)) % k;
+    std::vector<std::uint8_t> frame = frames[static_cast<std::size_t>(value)];
+    if (u % 13 == 4) {
+      frame.pop_back();  // wrong size: kMalformed
+    } else if (u % 17 == 5) {
+      for (auto& b : frame) b = static_cast<std::uint8_t>(rng.UniformInt(256));
+    }
+    const int sends = u % 11 == 0 ? 3 : (u % 7 == 0 ? 2 : 1);
+    for (int i = 0; i < sends; ++i) {
+      AppendWireRecord(static_cast<std::uint64_t>(u), frame, wire);
+    }
+    if (u % 5 == 0) {
+      AppendWireRecord(kAnonymousUser,
+                       frames[static_cast<std::size_t>((u + epoch) % k)],
+                       wire);
+    }
+  }
+  return wire;
+}
+
+TEST(WireSessionTest, PullIngestMatchesPerRecordIngest) {
+  for (const fo::Protocol protocol : {fo::Protocol::kGrr, fo::Protocol::kOue}) {
+    SCOPED_TRACE(fo::ProtocolName(protocol));
+    auto oracle = fo::MakeOracle(protocol, 16, 1.0);
+    Rng rng(77);
+    std::vector<std::vector<std::uint8_t>> frames;
+    for (int v = 0; v < oracle->k(); ++v) {
+      frames.push_back(
+          fo::SerializeReport(*oracle, oracle->Randomize(v, rng)));
+    }
+    LongitudinalOptions options;
+    options.collector.lanes = 2;
+
+    // Pull path: the sessions hand their chunks to the collector's own
+    // IngestAll. Per-record path: the same collector type behind a sink
+    // that keeps the default IngestAll.
+    EpochManager pull(*oracle, options);
+    EpochManager per_record(*oracle, options);
+    PerRecordSink per_record_sink(per_record.longitudinal());
+    AdmissionOptions admission;
+    admission.per_user_rate = 1.0;
+    admission.per_user_burst = 2.0;  // a third send in one epoch is limited
+    UserAdmissionTable pull_users(admission);
+    UserAdmissionTable per_record_users(admission);
+    std::vector<WireSession> pull_sessions;
+    std::vector<WireSession> per_record_sessions;
+    pull_sessions.reserve(2);
+    per_record_sessions.reserve(2);
+    for (int c = 0; c < 2; ++c) {
+      pull_sessions.emplace_back(pull.longitudinal(), &pull_users,
+                                 WireSessionOptions{}, c, 0.0);
+      per_record_sessions.emplace_back(per_record_sink, &per_record_users,
+                                       WireSessionOptions{}, c, 0.0);
+    }
+
+    Rng traffic_rng(5);
+    Rng pull_chunks(101);
+    Rng per_record_chunks(202);
+    for (int epoch = 0; epoch < 3; ++epoch) {
+      // Buckets refill between epochs; one clock value per epoch keeps
+      // admission independent of the chunking.
+      const double now = 10.0 * epoch;
+      std::vector<std::vector<std::uint8_t>> wires;
+      for (int c = 0; c < 2; ++c) {
+        wires.push_back(EpochTraffic(frames, c, epoch, traffic_rng));
+      }
+      // Records arriving between epochs: kClosedEpoch on both paths.
+      for (int c = 0; c < 2; ++c) {
+        std::vector<std::uint8_t> early;
+        AppendWireRecord(kAnonymousUser, frames[0], early);
+        AppendWireRecord(1000 + c, frames[1], early);
+        FeedInRandomChunks(pull_sessions[c], early, 64, now, pull_chunks);
+        FeedInRandomChunks(per_record_sessions[c], early, 64, now,
+                           per_record_chunks);
+      }
+      pull.OpenEpoch();
+      per_record.OpenEpoch();
+      for (int c = 0; c < 2; ++c) {
+        FeedInRandomChunks(pull_sessions[c], wires[c], 200, now,
+                           pull_chunks);
+        FeedInRandomChunks(per_record_sessions[c], wires[c], 40, now,
+                           per_record_chunks);
+      }
+      const EstimateSnapshot& a = pull.Seal();
+      const EstimateSnapshot& b = per_record.Seal();
+      SCOPED_TRACE(epoch);
+      ExpectSameSnapshot(a, b);
+      // The mix really exercised every outcome.
+      EXPECT_GT(a.stats.reports, 0);
+      EXPECT_GT(a.stats.rejected, 0);
+      EXPECT_GT(a.stats.duplicates, 0);
+      EXPECT_GT(a.stats.closed_epoch, 0);
+      if (epoch > 0) {
+        EXPECT_GT(a.ledger.memoized, 0);
+      }
+    }
+    for (int c = 0; c < 2; ++c) {
+      ExpectSameSession(pull_sessions[c].counters(),
+                        per_record_sessions[c].counters());
+      // Rate limiting happens in the session, before either sink.
+      EXPECT_GT(pull_sessions[c].counters().ingest.rate_limited, 0);
+      EXPECT_EQ(pull_sessions[c].buffered(), 0u);
+    }
+
+    // A chunk with a protocol error after N good records: exactly those N
+    // are ingested, on both paths, and nothing after the error is.
+    const int good = 5;
+    std::vector<std::uint8_t> broken;
+    for (int i = 0; i < good; ++i) {
+      AppendWireRecord(kAnonymousUser, frames[i], broken);
+    }
+    broken.push_back(0x00);
+    broken.push_back(0x03);  // body shorter than the user id
+    for (int i = 0; i < 3; ++i) {
+      AppendWireRecord(kAnonymousUser, frames[i], broken);
+    }
+    pull.OpenEpoch();
+    per_record.OpenEpoch();
+    WireSession pull_session(pull.longitudinal(), nullptr, {}, 0, 0.0);
+    WireSession per_record_session(per_record_sink, nullptr, {}, 0, 0.0);
+    EXPECT_FALSE(pull_session.Feed(broken, 0.0));
+    EXPECT_FALSE(per_record_session.Feed(broken, 0.0));
+    EXPECT_EQ(pull_session.counters().records, good);
+    EXPECT_EQ(pull_session.counters().ingest.reports, good);
+    EXPECT_EQ(pull_session.counters().protocol_errors, 1);
+    ExpectSameSession(pull_session.counters(), per_record_session.counters());
+    const EstimateSnapshot& a = pull.Seal();
+    EXPECT_EQ(a.n, good);
+    ExpectSameSnapshot(a, per_record.Seal());
+  }
+}
+
+// A source over a fixed request list, recording every verdict.
+class ListSource final : public IngestSource {
+ public:
+  explicit ListSource(const std::vector<IngestRequest>& requests)
+      : requests_(requests) {}
+  bool Next(IngestRequest& request) override {
+    if (next_ == requests_.size()) return false;
+    request = requests_[next_++];
+    return true;
+  }
+  void Done(const IngestRequest&, IngestResult result) override {
+    results.push_back(result);
+  }
+  std::vector<IngestResult> results;
+
+ private:
+  const std::vector<IngestRequest>& requests_;
+  std::size_t next_ = 0;
+};
+
+TEST(ServeIngestTest, CollectorIngestAllRunsMatchPerRecordIngest) {
+  // Lane hints that change within the source, including distinct hints
+  // that map to the same lane (0 and 3 of 3): each run of same-lane
+  // requests takes the lane once, and every verdict and staged row equals
+  // per-record Ingest's.
+  auto oracle = fo::MakeOracle(fo::Protocol::kOue, 16, 1.0);
+  Rng rng(9);
+  std::vector<std::vector<std::uint8_t>> frames;
+  for (int i = 0; i < 40; ++i) {
+    frames.push_back(
+        fo::SerializeReport(*oracle, oracle->Randomize(i % 16, rng)));
+    if (i % 9 == 4) frames.back().pop_back();
+  }
+  const int hints[] = {0, 0, 3, 1, 1, 4, 2, 0, 3, 3};
+  std::vector<IngestRequest> requests;
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    requests.push_back({frames[i], std::nullopt, hints[i % 10]});
+  }
+  Collector pulled(*oracle, CollectorOptions{.lanes = 3});
+  Collector pushed(*oracle, CollectorOptions{.lanes = 3});
+  ListSource source(requests);
+  pulled.IngestAll(source);
+  ASSERT_EQ(source.results.size(), requests.size());
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const IngestResult expected = pushed.Ingest(requests[i]);
+    EXPECT_EQ(source.results[i].accepted, expected.accepted) << i;
+    EXPECT_EQ(source.results[i].reason, expected.reason) << i;
+  }
+  for (int lane = 0; lane < 3; ++lane) {
+    EXPECT_EQ(pulled.staged(lane), pushed.staged(lane)) << lane;
+  }
+  const Collector::Drained a = pulled.Drain();
+  const Collector::Drained b = pushed.Drain();
+  EXPECT_EQ(a.counts, b.counts);
+  EXPECT_EQ(a.n, b.n);
+  ExpectSameIngest(a.tallies, b.tallies);
+}
+
+TEST(WireSessionTest, SealRacingAChunkFilesEveryRecordOnce) {
+  // One lane, so a Seal's drain and the chunk in flight contend for the
+  // same mutex: the seal waits out the chunk, and records the chunk frames
+  // after the epoch closed are kClosedEpoch rejects.
+  auto oracle = fo::MakeOracle(fo::Protocol::kGrr, 8, 1.0);
+  LongitudinalOptions options;
+  options.collector.lanes = 1;
+  // Repeats within an epoch classify by hash instead of being refused.
+  options.one_report_per_epoch = false;
+  LongitudinalCollector collector(*oracle, options);
+  // Every record is attributed and each user always sends the same frame,
+  // so a user's first accepted frame is its only fresh one: a frame
+  // classified in one epoch but aggregated in another would show up as a
+  // negative (seal throws) or extra anonymous share of some epoch's ledger.
+  std::vector<std::uint8_t> chunk;
+  const long long per_chunk = 1024;
+  for (long long i = 0; i < per_chunk; ++i) {
+    fo::Report report;
+    report.value = static_cast<int>(i % 8);
+    std::vector<std::uint8_t> frame = fo::SerializeReport(*oracle, report);
+    if (i % 97 == 0) frame.push_back(0);  // wrong size: kMalformed
+    AppendWireRecord(static_cast<std::uint64_t>(i), frame, chunk);
+  }
+
+  std::atomic<bool> stop{false};
+  std::atomic<long long> fed{0};
+  SessionCounters counters;
+  std::thread producer([&] {
+    WireSession session(collector, nullptr, {}, 0, 0.0);
+    while (!stop.load(std::memory_order_relaxed)) {
+      if (!session.Feed(chunk, 0.0)) break;
+      fed.fetch_add(1, std::memory_order_relaxed);
+    }
+    counters = session.counters();
+  });
+  while (fed.load(std::memory_order_relaxed) < 2) std::this_thread::yield();
+
+  IngestCounters sealed;
+  long long accepted = 0;
+  long long fresh = 0;
+  int throws = 0;
+  int mismatched = 0;
+  auto seal = [&] {
+    try {
+      const EstimateSnapshot& snapshot = collector.Seal();
+      accepted += snapshot.n;
+      fresh += snapshot.ledger.fresh;
+      sealed.reports += snapshot.stats.reports;
+      sealed.bytes += snapshot.stats.bytes;
+      sealed.rejected += snapshot.stats.rejected;
+      sealed.duplicates += snapshot.stats.duplicates;
+      sealed.rate_limited += snapshot.stats.rate_limited;
+      sealed.shed += snapshot.stats.shed;
+      sealed.closed_epoch += snapshot.stats.closed_epoch;
+      if (snapshot.n != snapshot.stats.reports) ++mismatched;
+    } catch (const std::exception&) {
+      ++throws;
+    }
+  };
+  for (int c = 0; c < 300 && throws == 0; ++c) {
+    collector.OpenEpoch();
+    // Seal while a chunk that started inside the epoch is in flight.
+    const long long opened_at = fed.load(std::memory_order_relaxed);
+    while (fed.load(std::memory_order_relaxed) < opened_at + 2) {
+      std::this_thread::yield();
+    }
+    seal();
+  }
+  stop.store(true, std::memory_order_relaxed);
+  producer.join();
+  // Rejects that arrived after the last seal fold into one more epoch.
+  if (throws == 0) {
+    collector.OpenEpoch();
+    seal();
+  }
+
+  EXPECT_EQ(throws, 0);
+  EXPECT_EQ(mismatched, 0);
+  EXPECT_EQ(counters.protocol_errors, 0);
+  EXPECT_EQ(counters.records, fed.load() * per_chunk);
+  EXPECT_EQ(counters.records,
+            counters.ingest.reports + counters.ingest.TotalRejected());
+  // Each record is either in exactly one sealed epoch or a counted
+  // kClosedEpoch (or malformed) reject, on the session and the sink alike.
+  EXPECT_EQ(accepted, counters.ingest.reports);
+  ExpectSameIngest(sealed, counters.ingest);
+  EXPECT_GT(counters.ingest.reports, 0);
+  // One fresh randomization per user that ever got a frame in.
+  EXPECT_EQ(fresh, collector.cumulative_ledger().users);
 }
 
 // ---------------------------------------------------------------------------
