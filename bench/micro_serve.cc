@@ -328,6 +328,70 @@ void BM_ServeFeedChunk(benchmark::State& state, fo::Protocol protocol) {
   benchmark::DoNotOptimize(manager.Seal());
 }
 
+// The served longitudinal path's per-chunk layer: attributed GRR records in
+// 64 KiB WireSession chunks into an aged LongitudinalCollector (200k users
+// holding 16 frame hashes each, as in BM_LongitudinalAged) with per-user
+// admission armed on the collector's own user-state table. Each record is
+// framed, validated, admitted and classified in one user lookup under the
+// lane lock, then staged. 90% of users replay their newest frame and the
+// rest an older one; the clock moves one second per iteration, so no
+// bucket runs dry. An iteration is one epoch: open, feed, seal.
+struct LongitudinalAdmit {};
+
+void BM_ServeFeedChunk(benchmark::State& state, LongitudinalAdmit) {
+  const long long n = state.range(0);
+  constexpr int kHistory = 16;
+  auto oracle = fo::MakeOracle(fo::Protocol::kGrr, kDomain, 1.0);
+  std::vector<std::vector<std::uint8_t>> frames;
+  for (int v = 0; v < kDomain; ++v) {
+    fo::Report report;
+    report.value = v;
+    frames.push_back(fo::SerializeReport(*oracle, report));
+  }
+  auto frame = [&](long long u, long long j) {
+    return std::span<const std::uint8_t>(
+        frames[static_cast<std::size_t>((u + 7 * j) % kDomain)]);
+  };
+  serve::LongitudinalOptions options;
+  options.collector.lanes = 1;
+  options.history_cap = 4;  // benchmark iterations must not accumulate state
+  serve::LongitudinalCollector collector(*oracle, options);
+  for (int j = 0; j < kHistory; ++j) {
+    collector.OpenEpoch();
+    for (long long u = 0; u < n; ++u) {
+      collector.Ingest(serve::IngestRequest{frame(u, j), u});
+    }
+    collector.Seal();
+  }
+  std::vector<std::uint8_t> wire;
+  for (long long u = 0; u < n; ++u) {
+    const long long j = u % 10 != 0 ? kHistory - 1 : (u / 10) % (kHistory - 1);
+    serve::AppendWireRecord(static_cast<std::uint64_t>(u), frame(u, j), wire);
+  }
+  serve::AdmissionOptions admission;
+  admission.per_user_rate = 1e4;
+  collector.user_state()->EnableAdmission(admission);
+  constexpr std::size_t kChunk = 64 << 10;
+  double clock = 0.0;
+  long long ingested = 0;
+  for (auto _ : state) {
+    clock += 1.0;
+    collector.OpenEpoch();
+    serve::WireSession session(collector, collector.user_state(), {}, 0,
+                               clock);
+    for (std::size_t at = 0; at < wire.size(); at += kChunk) {
+      session.Feed({wire.data() + at, std::min(kChunk, wire.size() - at)},
+                   clock);
+    }
+    ingested += session.counters().ingest.reports;
+    benchmark::DoNotOptimize(collector.Seal());
+  }
+  if (ingested != state.iterations() * n) {
+    state.SkipWithError("not every framed record was admitted and ingested");
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+
 // Client side of the pipeline: randomize + serialize (the load generator's
 // per-producer work).
 void BM_ServeEncode(benchmark::State& state, fo::Protocol protocol) {
@@ -414,6 +478,9 @@ BENCHMARK_CAPTURE(BM_ServeFeedChunk, grr, fo::Protocol::kGrr)->Arg(1 << 20)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_ServeFeedChunk, oue, fo::Protocol::kOue)->Arg(1 << 20)
     ->Unit(benchmark::kMillisecond);
+// ... and the same layer on the longitudinal path with per-user admission.
+BENCHMARK_CAPTURE(BM_ServeFeedChunk, longitudinal_admit, LongitudinalAdmit{})
+    ->Arg(200000)->Unit(benchmark::kMillisecond);
 
 BENCHMARK_CAPTURE(BM_ServeEncode, grr, fo::Protocol::kGrr)->Arg(1 << 18)
     ->Unit(benchmark::kMillisecond);

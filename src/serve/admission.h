@@ -1,19 +1,14 @@
 #ifndef LDPR_SERVE_ADMISSION_H_
 #define LDPR_SERVE_ADMISSION_H_
 
-// Admission control for the network front door: deterministic token buckets
-// (per connection and per user) behind the socket server's accept decision.
-//
-// Buckets take the current time as an explicit parameter instead of reading
-// a clock, so refill arithmetic is exactly testable (serve_server_test
-// drives epoch boundaries with a synthetic clock) and the server pays one
-// MonotonicSeconds() read per read-chunk, not per record.
+// Admission control for the network front door: TokenBucket paces a
+// connection; per-user buckets live next to the user's replay history in
+// the user-state table (serve/user_state.h). Buckets take the time as a
+// parameter, so refill arithmetic is exactly testable (serve_server_test
+// drives epoch boundaries with a synthetic clock) and the server reads the
+// clock once per read chunk, not per record.
 
-#include <cstddef>
-#include <memory>
-#include <mutex>
-#include <unordered_map>
-#include <vector>
+#include "serve/user_state.h"
 
 namespace ldpr::serve {
 
@@ -49,10 +44,16 @@ class TokenBucket {
 
   /// Tokens available at `now` (after refill; does not consume).
   double Available(double now) const {
-    if (rate_ <= 0.0) return burst_;
-    const double elapsed = now > last_ ? now - last_ : 0.0;
-    const double refilled = tokens_ + elapsed * rate_;
-    return refilled < burst_ ? refilled : burst_;
+    return rate_ <= 0.0 ? burst_ : Refilled(tokens_, last_, now, rate_, burst_);
+  }
+
+  /// The refill arithmetic on a bare balance (`tokens` as of `last`), also
+  /// used by the per-user buckets of serve/user_state.h.
+  static double Refilled(double tokens, double last, double now, double rate,
+                         double burst) {
+    const double elapsed = now > last ? now - last : 0.0;
+    const double refilled = tokens + elapsed * rate;
+    return refilled < burst ? refilled : burst;
   }
 
   /// Seconds past `now` until `tokens` will be available (0 when they
@@ -63,9 +64,6 @@ class TokenBucket {
     if (available >= tokens) return 0.0;
     return (tokens - available) / rate_;
   }
-
-  double rate() const { return rate_; }
-  double burst() const { return burst_; }
 
  private:
   void Refill(double now) {
@@ -78,47 +76,6 @@ class TokenBucket {
   double burst_ = 0.0;
   double tokens_ = 0.0;
   double last_ = 0.0;
-};
-
-struct AdmissionOptions {
-  /// Per-user sustained report rate (reports/second); <= 0 disables the
-  /// per-user check entirely (no table is consulted).
-  double per_user_rate = 0.0;
-  /// Per-user burst allowance (bucket capacity).
-  double per_user_burst = 8.0;
-  /// Shard count of the per-user bucket table.
-  int shards = 64;
-};
-
-/// Sharded user -> TokenBucket table: the per-user half of admission
-/// control. Thread-safe; shard assignment depends only on the user id.
-class UserAdmissionTable {
- public:
-  explicit UserAdmissionTable(const AdmissionOptions& options);
-
-  /// True when `user` may submit one report at time `now` (consumes one
-  /// token). Always true when the per-user rate is disabled.
-  bool Admit(long long user, double now);
-
-  /// Distinct users ever seen by the table (0 when disabled).
-  long long users() const;
-
-  bool enabled() const { return options_.per_user_rate > 0.0; }
-  const AdmissionOptions& options() const { return options_; }
-
- private:
-  struct Shard {
-    mutable std::mutex mutex;
-    std::unordered_map<long long, TokenBucket> buckets;
-  };
-
-  Shard& ShardFor(long long user) {
-    const long long n = static_cast<long long>(shards_.size());
-    return *shards_[static_cast<std::size_t>((user % n + n) % n)];
-  }
-
-  AdmissionOptions options_;
-  std::vector<std::unique_ptr<Shard>> shards_;
 };
 
 }  // namespace ldpr::serve

@@ -9,39 +9,31 @@
 //
 //   IngestResult IngestSink::Ingest(const IngestRequest&)
 //
-// A request carries the wire frame, an optional user attribution (the
-// longitudinal pipeline's replay/duplicate classification has no meaning
-// without one) and a lane hint; the result is accept/reject plus an
+// A request carries the wire frame, an optional user attribution (per-user
+// admission and replay/duplicate classification need one), a lane hint and
+// an optional admission clock; the result is accept/reject plus an
 // enumerable reject reason. Rejects are *counted*, never thrown: admission
-// control (rate limiting, load shedding, the one-report-per-user-per-epoch
-// invariant) and codec strictness (WireDecoder's exact-serializer-image
-// acceptance) both surface through the same RejectReason so a deployment
-// can alert on each class independently.
+// control and codec strictness (WireDecoder's exact-serializer-image
+// acceptance) surface through the same RejectReason, so a deployment can
+// alert on each class independently.
 //
 // A transport that frames many records per read (WireSession, one socket
-// read chunk at a time) hands the sink the whole chunk instead of one
-// request at a time:
+// read chunk at a time) hands the sink the whole chunk instead:
 //
 //   void IngestSink::IngestAll(IngestSource&)
 //
 // The sink pulls requests with IngestSource::Next until it returns false
 // and reports each outcome with IngestSource::Done, in order, before the
-// next pull. The default loops Next -> Ingest -> Done, so a sink that only
-// implements Ingest behaves exactly as if each record were pushed on its
-// own. The lane-striped collectors override it to take a lane mutex once
-// per run of same-lane requests rather than once per record; the result
-// of every request is what Ingest would have returned for it. There is no
-// intermediate request array: each request is framed, ingested and tallied
-// in one pass over the chunk.
+// next pull. The default loops Next -> Ingest -> Done; the lane-striped
+// collectors override it to take a lane mutex once per run of same-lane
+// requests. Either way every request gets what Ingest would have returned,
+// and each is framed, ingested and tallied in one pass over the chunk.
 //
 // Lock order. An overriding sink calls Next and Done while it holds a lane
-// mutex, so whatever a source does in them (WireSession's per-user
-// admission) nests inside it. The order across the serve layer is
-//
-//   lane mutex -> admission shard (UserAdmissionTable)
-//              -> replay shard (UserReplayTable)
-//
-// and neither shard mutex is ever held while taking a lane mutex. A source
+// mutex, so whatever a source does in them nests inside it. The only order
+// across the serve layer is lane mutex -> user-state shard (UserStateTable,
+// consulted by the sink's gate or by a source admitting through a table of
+// its own), and no shard mutex is held while taking a lane mutex. A source
 // must not call back into the sink from Next or Done.
 
 #include <cstdint>
@@ -51,6 +43,8 @@
 #include "core/stats.h"
 
 namespace ldpr::serve {
+
+class UserStateTable;
 
 /// Why an ingest surface refused a frame. Every reject is counted under its
 /// reason (IngestCounters / ServerCounters); kNone never appears on a
@@ -116,6 +110,9 @@ struct IngestRequest {
   /// Lane hint; sinks take it modulo their lane count. Producers that pin
   /// themselves to distinct lanes never contend.
   int lane = 0;
+  /// Arrival time (seconds) for per-user admission in the sink. Requests
+  /// without one (in-process producers) are never rate limited.
+  std::optional<double> now{};
 };
 
 struct IngestResult {
@@ -163,6 +160,10 @@ class IngestSink {
     IngestRequest request;
     while (source.Next(request)) source.Done(request, Ingest(request));
   }
+
+  /// The table this sink admits and classifies attributed requests through
+  /// (nullptr: none). A transport arms admission there and sets `now`.
+  virtual UserStateTable* user_state() { return nullptr; }
 };
 
 }  // namespace ldpr::serve

@@ -5,18 +5,9 @@
 #include <utility>
 
 #include "core/check.h"
-#include "core/hash.h"
 #include "obs/span.h"
 
 namespace ldpr::serve {
-
-namespace {
-
-// Fixed seed: frame hashes only need to agree with themselves within one
-// replay table.
-constexpr std::uint64_t kFrameHashSeed = 0x1d9ULL;
-
-}  // namespace
 
 SnapshotDelta DiffSnapshots(const EstimateSnapshot& older,
                             const EstimateSnapshot& newer) {
@@ -38,80 +29,6 @@ SnapshotDelta DiffSnapshots(const EstimateSnapshot& older,
     }
   }
   return delta;
-}
-
-UserReplayTable::UserReplayTable(int shards) {
-  LDPR_CHECK(shards >= 1, "replay table needs at least one shard");
-  shards_.reserve(shards);
-  for (int i = 0; i < shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-}
-
-UserReplayTable::FrameClass UserReplayTable::Classify(
-    long long user, std::span<const std::uint8_t> frame, long long epoch,
-    bool trust_replays, bool one_per_epoch) {
-  Shard& shard = *shards_[static_cast<std::size_t>(
-      (user % static_cast<long long>(shards_.size()) +
-       static_cast<long long>(shards_.size())) %
-      static_cast<long long>(shards_.size()))];
-  std::lock_guard<std::mutex> guard(shard.mutex);
-  User& entry = shard.users[user];
-  // Admission before classification: an epoch's second report is refused
-  // with the user's state untouched — it neither records a hash nor moves
-  // last_epoch, so the user's NEXT epoch classifies exactly as if the
-  // duplicate had never arrived.
-  if (one_per_epoch && entry.last_epoch == epoch) {
-    return FrameClass::kDuplicate;
-  }
-  entry.last_epoch = epoch;
-  if (trust_replays) {
-    const std::uint64_t hash =
-        XxHash64(frame.data(), frame.size(), kFrameHashSeed);
-    // last_hash is one of `hashes`, so checking it first changes no verdict;
-    // it only skips the history scan for the usual replay of the newest
-    // frame.
-    const bool replay =
-        (!entry.hashes.empty() && hash == entry.last_hash) ||
-        std::find(entry.hashes.begin(), entry.hashes.end(), hash) !=
-            entry.hashes.end();
-    entry.last_hash = hash;
-    if (replay) {
-      ++shard.epoch_memoized;
-      return FrameClass::kMemoized;
-    }
-    entry.hashes.push_back(hash);
-  }
-  ++entry.fresh;
-  ++shard.epoch_fresh;
-  ++shard.total_fresh;
-  shard.max_fresh = std::max(shard.max_fresh, entry.fresh);
-  return FrameClass::kFresh;
-}
-
-UserReplayTable::EpochTallies UserReplayTable::SealEpoch() {
-  EpochTallies tallies;
-  for (auto& shard_ptr : shards_) {
-    Shard& shard = *shard_ptr;
-    std::lock_guard<std::mutex> guard(shard.mutex);
-    tallies.fresh += shard.epoch_fresh;
-    tallies.memoized += shard.epoch_memoized;
-    shard.epoch_fresh = 0;
-    shard.epoch_memoized = 0;
-  }
-  return tallies;
-}
-
-UserReplayTable::UserStats UserReplayTable::Totals() const {
-  UserStats stats;
-  for (const auto& shard_ptr : shards_) {
-    const Shard& shard = *shard_ptr;
-    std::lock_guard<std::mutex> guard(shard.mutex);
-    stats.users += static_cast<long long>(shard.users.size());
-    stats.total_fresh += shard.total_fresh;
-    stats.max_fresh = std::max(stats.max_fresh, shard.max_fresh);
-  }
-  return stats;
 }
 
 LongitudinalCollector::LongitudinalCollector(
@@ -193,33 +110,34 @@ void LongitudinalCollector::IngestAll(IngestSource& source) {
     IngestSink::IngestAll(source);
     return;
   }
+  if (chunk_hook_) chunk_hook_();
   collector_.IngestAllGated(source, [this](const IngestRequest& r) {
     return Gate(r);
   });
 }
 
 RejectReason LongitudinalCollector::Gate(const IngestRequest& request) {
-  // The gate runs under the lane mutex after frame validation. Seal()
-  // closes the epoch before its Drain takes each lane mutex, so re-checking
-  // open_ here puts a frame racing the seal either wholly in this epoch
-  // (staged before the drain, classified before SealEpoch) or into a
-  // kClosedEpoch reject on the lane, which the next seal drains.
-  // Classification doubles as the admission gate for attributed frames (a
-  // malformed frame is kMalformed, never kDuplicate, and a refused
-  // duplicate reaches no aggregator) and takes the replay-table shard mutex
-  // strictly inside the lane mutex.
+  // Runs under the lane mutex after frame validation. Seal() closes the
+  // epoch before its Drain takes each lane mutex, so re-checking open_ here
+  // puts a frame racing the seal either wholly in this epoch or into a
+  // kClosedEpoch reject on the lane, which the next seal drains. Only then
+  // one user-state lookup admits and classifies: a malformed or
+  // closed-epoch frame spends no token, a refused one reaches no aggregator.
   if (!open()) return RejectReason::kClosedEpoch;
   if (!request.user.has_value() || !options_.track_users) {
     return RejectReason::kNone;
   }
   const long long epoch = next_epoch_.load(std::memory_order_relaxed) - 1;
-  const UserReplayTable::FrameClass verdict =
-      users_.Classify(*request.user, request.frame, epoch,
-                      options_.memoized_replays_free,
-                      options_.one_report_per_epoch);
-  return verdict == UserReplayTable::FrameClass::kDuplicate
-             ? RejectReason::kDuplicate
-             : RejectReason::kNone;
+  switch (users_.AdmitAndClassify(*request.user, request.now, request.frame,
+                                  epoch, options_.memoized_replays_free,
+                                  options_.one_report_per_epoch)) {
+    case UserStateTable::FrameClass::kRateLimited:
+      return RejectReason::kRateLimited;
+    case UserStateTable::FrameClass::kDuplicate:
+      return RejectReason::kDuplicate;
+    default:
+      return RejectReason::kNone;
+  }
 }
 
 const EstimateSnapshot& LongitudinalCollector::Seal() {
@@ -260,10 +178,10 @@ const EstimateSnapshot& LongitudinalCollector::Seal() {
   // Ledger: replays recognized by the table are charged 0; everything else
   // accepted this epoch (classified fresh or ingested without a user id) is
   // a fresh eps-LDP randomization of the one served attribute.
-  const UserReplayTable::EpochTallies tallies = users_.SealEpoch();
+  const UserStateTable::EpochTallies tallies = users_.SealEpoch();
   const long long anonymous =
       drained.tallies.reports - tallies.fresh - tallies.memoized;
-  LDPR_CHECK(anonymous >= 0, "replay table classified more reports ("
+  LDPR_CHECK(anonymous >= 0, "user-state table classified more reports ("
                                  << tallies.fresh + tallies.memoized
                                  << ") than were accepted ("
                                  << drained.tallies.reports << ")");
@@ -284,7 +202,7 @@ const EstimateSnapshot& LongitudinalCollector::Seal() {
     cumulative.RecordSmpBulk(0, epsilon, cumulative_fresh_);
     cumulative.RecordMemoized(cumulative_memoized_);
     cumulative_report_ = cumulative.MakeReport();
-    const UserReplayTable::UserStats stats = users_.Totals();
+    const UserStateTable::UserStats stats = users_.Totals();
     cumulative_report_.users = stats.users;
     if (stats.users > 0) {
       // Per-user sequential totals over *tracked* users (anonymous ingest

@@ -8,41 +8,32 @@
 // lanes) plus everything that survives a seal:
 //
 //   * an EpochSchedule mapping epochs onto fixed/sliding/overlapping
-//     estimation windows, maintained as a running count delta — the newest
-//     epoch's counts are added, the epoch sliding out is subtracted — so a
-//     window seal costs O(k), never a recompute over the window's reports.
-//     Counts are integers, so the delta path is bit-identical to
-//     recomputing each window from scratch (serve_longitudinal_test pins
-//     this);
-//   * a sharded per-user replay table: every accepted frame ingested via
-//     IngestUser is hashed and checked against the user's earlier frames.
-//     A frame already seen from that user is a memoized replay of a
-//     RAPPOR-style permanent answer — it still counts toward the estimate
-//     (the server cannot tell a replay apart statistically, only
-//     ledger-wise) but is charged eps = 0;
+//     estimation windows, maintained as a running integer count delta (the
+//     newest epoch added, the one sliding out subtracted): a window seal is
+//     O(k) and bit-identical to a recompute (serve_longitudinal_test);
+//   * the per-user state table (serve/user_state.h): an accepted attributed
+//     frame the user already sent is a memoized replay of a RAPPOR-style
+//     permanent answer — it still counts toward the estimate (the server
+//     cannot tell a replay apart statistically, only ledger-wise) but is
+//     charged eps = 0;
 //   * per-shard privacy ledgers, merged at seal through privacy::Accountant
 //     into the per-epoch and cumulative LedgerReport exposed on every
 //     EstimateSnapshot. Ledgers are kept as integer fresh/memoized tallies
 //     and converted to eps by one bulk multiply at seal, so the reported
 //     budgets are exact and LDPR_THREADS/lane-count independent.
-//
-// EpochManager — the legacy seal-and-forget lifecycle — is a
-// LongitudinalCollector on the fixed one-epoch schedule and lives at the
-// bottom of this header.
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
-#include <mutex>
-#include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "core/check.h"
 #include "serve/collector.h"
 #include "serve/epoch_schedule.h"
+#include "serve/user_state.h"
 
 namespace ldpr::serve {
 
@@ -53,8 +44,8 @@ struct LongitudinalOptions {
   /// are evicted oldest-first. 0 = unbounded (the legacy behavior; sealed
   /// snapshot references then stay valid for the collector's lifetime).
   std::size_t history_cap = 0;
-  /// Classify IngestUser frames against the replay table. Off, every
-  /// accepted report is charged as a fresh randomization.
+  /// Classify attributed frames through the user-state table. Off, every
+  /// accepted report is charged fresh and user_state() is nullptr.
   bool track_users = true;
   /// Charge recognized replays eps = 0. Sound only when clients follow the
   /// memoization contract: an identical frame then is a replayed permanent
@@ -64,9 +55,9 @@ struct LongitudinalOptions {
   /// report is charged fresh while per-user totals are still tracked, so
   /// the cumulative budget grows exactly linearly in the rounds.
   bool memoized_replays_free = true;
-  /// Shard count of the replay table. Fixed (not tied to lane or thread
-  /// count) so ledger tallies merge identically under any LDPR_THREADS.
-  int user_shards = 64;
+  /// Shard count of the user-state table. Fixed (not tied to lanes or
+  /// threads) so ledger tallies merge identically under any LDPR_THREADS.
+  int user_shards = kDefaultUserShards;
   /// Enforce the paper's collection contract server-side: a user's second
   /// report within one epoch is rejected kDuplicate (counted, never
   /// aggregated). The same frame in a LATER epoch is still a memoized
@@ -120,71 +111,6 @@ struct SnapshotDelta {
 SnapshotDelta DiffSnapshots(const EstimateSnapshot& older,
                             const EstimateSnapshot& newer);
 
-/// Sharded user -> {frame hashes, fresh count, last epoch} map backing the
-/// server-side replay classification and the one-report-per-user-per-epoch
-/// admission check. Thread-safe; shard assignment depends only on the user
-/// id, so tallies are identical under any producer configuration.
-class UserReplayTable {
- public:
-  explicit UserReplayTable(int shards);
-
-  /// What one frame from one user turned out to be.
-  enum class FrameClass : std::uint8_t {
-    kFresh,     ///< new randomization: charged eps, hash recorded
-    kMemoized,  ///< replays a frame this user already sent: charged eps = 0
-    kDuplicate  ///< second report within `epoch`: inadmissible, not recorded
-  };
-
-  /// Classifies one frame from `user` arriving in `epoch`. With
-  /// `one_per_epoch`, a user already recorded in this epoch classifies
-  /// kDuplicate and nothing is recorded — the caller must not aggregate it.
-  /// With `trust_replays` false the replay (hash) check is skipped and every
-  /// admitted frame counts fresh (no hashes stored); the per-epoch check is
-  /// independent of it. Epochs must be presented non-decreasing per user.
-  FrameClass Classify(long long user, std::span<const std::uint8_t> frame,
-                      long long epoch, bool trust_replays = true,
-                      bool one_per_epoch = true);
-
-  struct EpochTallies {
-    long long fresh = 0;
-    long long memoized = 0;
-  };
-  /// Merges and resets the per-shard epoch tallies (called at seal).
-  EpochTallies SealEpoch();
-
-  struct UserStats {
-    long long users = 0;        ///< distinct users ever classified
-    long long total_fresh = 0;  ///< fresh randomizations across all users
-    long long max_fresh = 0;    ///< worst user's fresh count
-  };
-  /// Cumulative per-user statistics, summed from per-shard running totals;
-  /// O(shards), never a walk over the users.
-  UserStats Totals() const;
-
- private:
-  struct User {
-    std::vector<std::uint64_t> hashes;  ///< distinct frames sent, in order
-    /// Hash of the newest admitted frame, always a member of `hashes` once
-    /// that is non-empty: the common replay (the client's current permanent
-    /// answer) classifies without reading the history.
-    std::uint64_t last_hash = 0;
-    long long fresh = 0;
-    long long last_epoch = -1;  ///< newest epoch with an admitted report
-  };
-  struct Shard {
-    mutable std::mutex mutex;
-    std::unordered_map<long long, User> users;
-    long long epoch_fresh = 0;
-    long long epoch_memoized = 0;
-    // Running per-user totals. Users are never evicted and a user's fresh
-    // count only grows, so the running max is exact.
-    long long total_fresh = 0;
-    long long max_fresh = 0;
-  };
-
-  std::vector<std::unique_ptr<Shard>> shards_;
-};
-
 /// Epoch/round lifecycle plus cross-epoch state over one Collector:
 /// open -> ingest -> seal -> {epoch snapshot, completed window, ledgers}.
 class LongitudinalCollector final : public IngestSink {
@@ -202,13 +128,11 @@ class LongitudinalCollector final : public IngestSink {
   /// Reports ingested directly (without a user id) are charged as fresh.
   Collector& collector();
 
-  /// Ingests one wire frame. Attributed requests (request.user set, with
-  /// track_users on) are classified against the user's history under the
-  /// lane mutex: a second report from that user within the open epoch is
-  /// rejected kDuplicate before it reaches any aggregator (when
-  /// one_report_per_epoch is on), an identical frame from an earlier epoch
-  /// is a memoized replay (accepted, charged eps = 0), anything else is a
-  /// fresh randomization. Anonymous requests skip classification. With no
+  /// Ingests one wire frame. A valid attributed frame (track_users on) goes
+  /// through UserStateTable::AdmitAndClassify under the lane mutex: over
+  /// rate (request.now set, admission armed) it is kRateLimited, a second
+  /// report in the epoch kDuplicate (one_report_per_epoch), a frame from an
+  /// earlier epoch a memoized replay (charged eps = 0), else fresh. With no
   /// epoch open every request is rejected kClosedEpoch (counted into the
   /// NEXT sealed epoch's stats) — never thrown, so a socket transport can
   /// keep draining between epochs. Safe to call concurrently with Seal()
@@ -216,24 +140,32 @@ class LongitudinalCollector final : public IngestSink {
   /// decided under its lane mutex, which the seal's drain also takes.
   IngestResult Ingest(const IngestRequest& request) override;
 
-  /// Ingests a whole source with one lane mutex per run of same-lane
-  /// requests (Collector::IngestAllGated). Every request gets exactly what
-  /// Ingest would give it: the open-epoch re-check and the replay
-  /// classification still run per request under the lane mutex, so a
-  /// Seal() racing the source waits for at most the run in progress, and
-  /// each frame is either in the sealing epoch or a kClosedEpoch reject.
+  /// Ingest over a whole source, one lane mutex per run of same-lane
+  /// requests (Collector::IngestAllGated). The gate still runs per request,
+  /// so a racing Seal() waits for at most the run in progress, and each
+  /// frame is either in the sealing epoch or a kClosedEpoch reject.
   void IngestAll(IngestSource& source) override;
 
+  /// The table attributed requests are admitted and classified through;
+  /// nullptr with track_users off.
+  UserStateTable* user_state() override {
+    return options_.track_users ? &users_ : nullptr;
+  }
+
+  /// Test-only: runs `hook` in IngestAll between the chunk's open() check
+  /// and its lane lock. Set it before any producer starts.
+  void SetChunkHookForTesting(std::function<void()> hook) {
+    chunk_hook_ = std::move(hook);
+  }
+
   /// Seals the open epoch: merges the lanes, estimates (raw + consistency
-  /// post-processing), merges the replay-table shard ledgers into the
-  /// epoch's and the cumulative LedgerReport, advances the window delta
-  /// state, and archives the snapshot. O(lanes * k + user_shards)
-  /// regardless of how many reports were ingested or users tracked. The
-  /// epoch closes before the lanes drain, so a frame racing the seal is
-  /// either in this epoch (ledger and estimate both) or a kClosedEpoch
-  /// reject. The returned reference stays valid until history_cap
-  /// evictions (forever when the cap is 0). Seal() and OpenEpoch() must be
-  /// called from one thread at a time.
+  /// post-processing), merges the user-state ledgers into the epoch's and
+  /// the cumulative LedgerReport, slides the window, and archives the
+  /// snapshot, in O(lanes * k + user_shards). The epoch closes before the
+  /// lanes drain, so a frame racing the seal is either in this epoch or a
+  /// kClosedEpoch reject. The returned reference stays valid until
+  /// history_cap evictions (forever when the cap is 0). Seal() and
+  /// OpenEpoch() must be called from one thread at a time.
   const EstimateSnapshot& Seal();
 
   /// Sealed epochs, oldest first (bounded by history_cap).
@@ -254,12 +186,13 @@ class LongitudinalCollector final : public IngestSink {
 
  private:
   /// The admission gate behind Ingest and IngestAll (runs under the lane
-  /// mutex): closed-epoch re-check, then replay classification.
+  /// mutex): closed-epoch re-check, then admission and classification.
   RejectReason Gate(const IngestRequest& request);
 
   LongitudinalOptions options_;
   Collector collector_;
-  UserReplayTable users_;
+  UserStateTable users_;
+  std::function<void()> chunk_hook_;
   std::deque<EstimateSnapshot> history_;
   std::deque<WindowSnapshot> windows_;
 
@@ -307,7 +240,7 @@ class LongitudinalCollector final : public IngestSink {
 /// Legacy epoch lifecycle: open -> ingest -> seal -> snapshot with every
 /// epoch its own window. Kept as the ergonomic front door for callers that
 /// seal independent rounds; the longitudinal state (ledgers, windows,
-/// replay table) is reachable through longitudinal().
+/// user-state table) is reachable through longitudinal().
 class EpochManager {
  public:
   explicit EpochManager(const fo::FrequencyOracle& oracle,

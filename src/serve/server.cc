@@ -83,7 +83,7 @@ constexpr std::size_t kMaxAdminConnections = 16;
 }  // namespace
 
 struct IngestServer::Connection {
-  Connection(int fd_in, IngestSink& sink, UserAdmissionTable* users,
+  Connection(int fd_in, IngestSink& sink, UserStateTable* users,
              const WireSessionOptions& options, int lane, double now)
       : fd(fd_in), session(sink, users, options, lane, now) {}
 
@@ -181,7 +181,13 @@ class IngestServer::Poller {
 IngestServer::IngestServer(IngestSink& sink, const ServerOptions& options)
     : sink_(sink), options_(options) {
   if (options_.admission.per_user_rate > 0.0) {
-    users_ = std::make_unique<UserAdmissionTable>(options_.admission);
+    users_ = sink.user_state();
+    if (users_ != nullptr) {
+      users_->EnableAdmission(options_.admission);
+    } else {
+      own_users_ = std::make_unique<UserStateTable>(options_.admission);
+      users_ = own_users_.get();
+    }
   }
   read_buffer_.resize(options_.read_chunk);
 }
@@ -401,7 +407,7 @@ void IngestServer::AcceptReady(int listener_fd, double now) {
     const int lane = static_cast<int>(next_lane_++ %
                                       static_cast<long long>(1 << 20));
     conns_.emplace(fd, std::make_unique<Connection>(
-                           fd, sink_, users_.get(), options_.session, lane,
+                           fd, sink_, users_, options_.session, lane,
                            now));
     ++totals_.connections;
     poller_->Add(fd);

@@ -14,11 +14,12 @@
 //     the loop stops polling a connection for reads until its pacing debt
 //     refills, so the kernel socket buffer, then the peer, absorb the
 //     excess; nothing already read is dropped;
-//   * per-user token buckets (AdmissionOptions::per_user_rate): a user over
-//     rate has that record rejected kRateLimited before it reaches the
-//     sink;
-//   * duplicate (user, epoch) rejection: the LongitudinalCollector sink
-//     classifies under the lane mutex and rejects kDuplicate;
+//   * per-user token buckets (AdmissionOptions::per_user_rate) and
+//     duplicate (user, epoch) rejection: kRateLimited / kDuplicate. A sink
+//     with a user-state table (the LongitudinalCollector) does both in one
+//     lookup under the lane mutex (lock order lane mutex -> user-state
+//     shard, serve/ingest.h), after validation and the open-epoch check;
+//     for other sinks the session admits through a table the server owns;
 //   * load shedding: at connection capacity, and under sustained overload
 //     (too many connections rate-paused for longer than the grace period),
 //     the lowest-priority connection (WireSession::Priority) is dropped.
@@ -152,7 +153,9 @@ class IngestServer {
 
   IngestSink& sink_;
   ServerOptions options_;
-  std::unique_ptr<UserAdmissionTable> users_;
+  /// Sessions' admission table: the sink's, else own_users_ (or null).
+  UserStateTable* users_ = nullptr;
+  std::unique_ptr<UserStateTable> own_users_;
   std::unique_ptr<Poller> poller_;
 
   int uds_listen_ = -1;

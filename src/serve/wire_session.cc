@@ -27,11 +27,11 @@ void AppendWireRecord(std::uint64_t user, std::span<const std::uint8_t> frame,
   out.insert(out.end(), frame.begin(), frame.end());
 }
 
-WireSession::WireSession(IngestSink& sink, UserAdmissionTable* users,
+WireSession::WireSession(IngestSink& sink, UserStateTable* users,
                          const WireSessionOptions& options, int lane,
                          double now)
     : sink_(sink),
-      users_(users),
+      admit_(users == sink.user_state() ? nullptr : users),
       options_(options),
       pacing_(options.conn_rate, options.conn_burst, now),
       lane_(lane) {}
@@ -99,7 +99,8 @@ bool WireSession::Next(IngestRequest& request) {
       return true;
     }
     request.user = static_cast<long long>(user_id);
-    if (users_ == nullptr || users_->Admit(*request.user, now_)) return true;
+    if (admit_ == nullptr) request.now = now_;  // the sink admits
+    if (admit_ == nullptr || admit_->Admit(*request.user, now_)) return true;
     CountReject(counters_.ingest, RejectReason::kRateLimited);
   }
   return false;

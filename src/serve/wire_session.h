@@ -10,27 +10,24 @@
 //
 // body_length counts everything after itself, so a record occupies
 // 2 + body_length bytes. user_id == kAnonymousUser marks an unattributed
-// frame (ingested with request.user unset); the frame bytes are one
-// sanitized report in the exact wire codec (fo/wire) and are handed to the
-// IngestSink untouched — a wrong-sized or malformed frame is that sink's
-// counted kMalformed reject, and the connection survives. Only unframeable
-// input is a protocol error that kills the connection: a body too short to
-// hold the user id, or longer than the session's max_body bound.
+// frame (request.user unset); the frame bytes are one sanitized report in
+// the exact wire codec (fo/wire), handed to the IngestSink untouched — a
+// malformed frame is that sink's counted kMalformed reject, and the
+// connection survives. Only unframeable input is a protocol error that
+// kills the connection: a body too short to hold the user id, or longer
+// than the session's max_frame bound.
 //
-// A WireSession owns the torn-frame reassembly buffer (bounded: complete
-// records are consumed per Feed, so at most one partial record is ever
-// buffered), the per-connection pacing bucket (backpressure: records
-// already read are never dropped, but the session tells the server when to
-// stop reading), and the per-reason counters the server aggregates. It
-// performs no I/O — Feed takes whatever read() produced, which is what
-// makes torn-frame handling fuzzable without sockets.
+// A WireSession owns the torn-frame reassembly buffer (at most one partial
+// record), the per-connection pacing bucket (backpressure: records already
+// read are never dropped, but the session tells the server when to stop
+// reading), and the per-reason counters the server aggregates. It performs
+// no I/O, which makes torn-frame handling fuzzable without sockets.
 //
-// A session is the IngestSource of its own read chunks: Feed points a
-// framing cursor at the chunk and hands the session to
-// IngestSink::IngestAll, whose Next frames, paces and admits one record at
-// a time and whose Done tallies the sink's verdict. So the lane-striped
-// collectors take one lane mutex per chunk, and the per-user Admit runs
-// under it: the lock order is lane mutex -> admission shard -> replay shard
+// A session is the IngestSource of its own read chunks: Feed hands it to
+// IngestSink::IngestAll, whose Next frames, paces and (through a table of
+// the session's own) admits one record at a time and whose Done tallies
+// the sink's verdict. So the lane-striped collectors take one lane mutex
+// per chunk; the lock order is lane mutex -> user-state shard
 // (serve/ingest.h).
 
 #include <cstddef>
@@ -79,8 +76,8 @@ struct SessionCounters {
   long long protocol_errors = 0;
   /// Per-reason ingest outcome of the framed records: reports/bytes count
   /// accepted frames; rejects are split malformed / duplicate /
-  /// rate-limited / shed / closed-epoch (rate_limited here is the per-USER
-  /// admission table — per-connection pacing pauses reads instead).
+  /// rate-limited / shed / closed-epoch (rate_limited here is per-USER
+  /// admission — per-connection pacing pauses reads instead).
   IngestCounters ingest;
 
   void Merge(const SessionCounters& other) {
@@ -93,12 +90,11 @@ struct SessionCounters {
 
 class WireSession final : private IngestSource {
  public:
-  /// `sink` and `users` (nullable: no per-user admission) must outlive the
-  /// session. `lane` is the lane hint every request from this connection
-  /// carries — the server assigns connections round-robin so concurrent
-  /// connections land on distinct collector lanes. `now` seeds the pacing
-  /// bucket's clock.
-  WireSession(IngestSink& sink, UserAdmissionTable* users,
+  /// `sink` and `users` (nullable) must outlive the session. With no table
+  /// or the sink's own (sink.user_state()), attributed requests carry the
+  /// chunk clock and the sink admits; another table admits in the session.
+  /// `lane` is every request's lane hint; `now` seeds the pacing clock.
+  WireSession(IngestSink& sink, UserStateTable* users,
               const WireSessionOptions& options, int lane, double now);
 
   /// Consumes one read() chunk: frames complete records (ingesting each,
@@ -132,14 +128,14 @@ class WireSession final : private IngestSource {
 
  private:
   /// IngestSource over the chunk Feed is consuming. Next frames records
-  /// from cursor_ (counting, pacing and per-user admission; rate-limited
+  /// from cursor_ (counting, pacing, admission through admit_: rate-limited
   /// records are tallied and skipped) and stops at a torn tail or a
   /// protocol error; Done tallies the sink's verdict.
   bool Next(IngestRequest& request) override;
   void Done(const IngestRequest& request, IngestResult result) override;
 
   IngestSink& sink_;
-  UserAdmissionTable* users_;
+  UserStateTable* admit_;  ///< set only for a table not the sink's own
   WireSessionOptions options_;
   TokenBucket pacing_;
   int lane_;

@@ -1,8 +1,10 @@
 // Tests for the network front door: token-bucket refill arithmetic
-// (admission), the wire-record framer under torn reads and random split
-// points (wire_session), the chunk-at-a-time IngestAll pull path against
-// per-record Ingest (bit-identical counters, snapshots and ledgers, and a
-// Seal racing a chunk), duplicate (user, epoch) rejection through the
+// (admission), the per-user state table against a brute-force bucket +
+// history model, the wire-record framer under torn reads and random split
+// points (wire_session), admission on the sink's own table (order and
+// counts), the chunk-at-a-time IngestAll pull path against per-record
+// Ingest (bit-identical counters, snapshots and ledgers, and a Seal racing
+// a chunk), duplicate (user, epoch) rejection through the
 // unified IngestRequest API, the socket server end to end over a
 // Unix-domain socket — sealed snapshots must be bit-identical to the same
 // frames pushed through the in-process path — and the admin scrape
@@ -23,8 +25,12 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <map>
+#include <optional>
+#include <set>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "core/rng.h"
@@ -101,8 +107,7 @@ TEST(UserAdmissionTableTest, BucketsArePerUser) {
   AdmissionOptions options;
   options.per_user_rate = 1.0;
   options.per_user_burst = 2.0;
-  options.shards = 4;
-  UserAdmissionTable table(options);
+  UserAdmissionTable table(options, /*shards=*/4);
   ASSERT_TRUE(table.enabled());
   EXPECT_TRUE(table.Admit(7, 0.0));
   EXPECT_TRUE(table.Admit(7, 0.0));
@@ -110,6 +115,138 @@ TEST(UserAdmissionTableTest, BucketsArePerUser) {
   EXPECT_TRUE(table.Admit(-3, 0.0));  // negative ids shard correctly
   EXPECT_TRUE(table.Admit(7, 1.0));   // one token back after 1 s
   EXPECT_EQ(table.users(), 2);
+}
+
+// ---------------------------------------------------------------------------
+// The per-user state table against a brute-force model
+// ---------------------------------------------------------------------------
+
+using FrameClass = UserStateTable::FrameClass;
+
+// Bucket + history per user, kept the way the two separate tables the
+// user-state table replaced kept them: a TokenBucket that starts full at
+// the user's first clocked record, and the set of frames the user sent.
+struct UserStateModel {
+  struct User {
+    std::optional<TokenBucket> bucket;
+    std::set<std::string> seen;  ///< frames sent, as byte strings
+    long long fresh = 0;
+    long long last_epoch = -1;
+  };
+  explicit UserStateModel(const AdmissionOptions& options)
+      : admission(options) {}
+
+  AdmissionOptions admission;
+  std::map<long long, User> users;
+  long long epoch_fresh = 0;
+  long long epoch_memoized = 0;
+
+  bool Admit(long long user, double now) {
+    User& u = users[user];
+    if (!u.bucket) {
+      u.bucket.emplace(admission.per_user_rate, admission.per_user_burst, now);
+    }
+    return u.bucket->TryAcquire(now);
+  }
+
+  FrameClass Step(long long user, std::optional<double> now,
+                  const std::vector<std::uint8_t>& frame, long long epoch,
+                  bool trust_replays, bool one_per_epoch) {
+    if (now.has_value() && admission.per_user_rate > 0.0 &&
+        !Admit(user, *now)) {
+      return FrameClass::kRateLimited;
+    }
+    User& u = users[user];
+    if (one_per_epoch && u.last_epoch == epoch) return FrameClass::kDuplicate;
+    u.last_epoch = epoch;
+    if (trust_replays &&
+        !u.seen.emplace(frame.begin(), frame.end()).second) {
+      ++epoch_memoized;
+      return FrameClass::kMemoized;
+    }
+    ++u.fresh;
+    ++epoch_fresh;
+    return FrameClass::kFresh;
+  }
+
+  UserStateTable::UserStats Totals() const {
+    UserStateTable::UserStats stats;
+    for (const auto& [id, u] : users) {
+      if (u.last_epoch < 0) continue;  // only ever admitted, never classified
+      ++stats.users;
+      stats.total_fresh += u.fresh;
+      stats.max_fresh = std::max(stats.max_fresh, u.fresh);
+    }
+    return stats;
+  }
+};
+
+TEST(UserStateTableTest, FusedMatchesBruteForceModel) {
+  const AdmissionOptions admission{.per_user_rate = 2.0,
+                                   .per_user_burst = 3.0};
+  for (const int shards : {1, 64}) {
+    for (const bool trust_replays : {false, true}) {
+      for (const bool one_per_epoch : {false, true}) {
+        SCOPED_TRACE(testing::Message()
+                     << "shards " << shards << " trust " << trust_replays
+                     << " one_per_epoch " << one_per_epoch);
+        UserStateTable table(admission, shards);
+        UserStateModel model(admission);
+        std::map<FrameClass, int> seen_verdicts;
+        Rng rng(2024);  // one trace for every combination
+        double clock = 0.0;
+        for (long long epoch = 0; epoch < 12; ++epoch) {
+          for (int step = 0; step < 400; ++step) {
+            // Negative ids too; bursts at one clock value, then refills.
+            const long long user =
+                static_cast<long long>(rng.UniformInt(40)) - 20;
+            if (rng.UniformInt(16) == 0) {
+              clock += 0.01 * static_cast<double>(1 + rng.UniformInt(30));
+            }
+            // Three frames per user, so A -> B -> A replays occur.
+            const std::vector<std::uint8_t> frame = {static_cast<std::uint8_t>(
+                (user * 7 + static_cast<long long>(rng.UniformInt(3))) &
+                0xFF)};
+            const std::uint64_t kind = rng.UniformInt(10);
+            if (kind == 0) {  // admission alone, on the same bucket
+              ASSERT_EQ(table.Admit(user, clock), model.Admit(user, clock));
+              continue;
+            }
+            // In-process requests carry no clock.
+            const std::optional<double> now =
+                kind == 1 ? std::nullopt : std::optional<double>(clock);
+            // kind 2 repeats the record at once: an in-epoch duplicate or,
+            // with repeats allowed, a same-epoch replay.
+            for (int repeat = 0; repeat < (kind == 2 ? 3 : 1); ++repeat) {
+              const FrameClass got = table.AdmitAndClassify(
+                  user, now, frame, epoch, trust_replays, one_per_epoch);
+              ASSERT_EQ(got, model.Step(user, now, frame, epoch,
+                                        trust_replays, one_per_epoch))
+                  << "epoch " << epoch << " step " << step << " user "
+                  << user;
+              ++seen_verdicts[got];
+            }
+          }
+          const UserStateTable::EpochTallies tallies = table.SealEpoch();
+          EXPECT_EQ(tallies.fresh, model.epoch_fresh) << epoch;
+          EXPECT_EQ(tallies.memoized, model.epoch_memoized) << epoch;
+          model.epoch_fresh = 0;
+          model.epoch_memoized = 0;
+          const UserStateTable::UserStats got = table.Totals();
+          const UserStateTable::UserStats want = model.Totals();
+          EXPECT_EQ(got.users, want.users) << epoch;
+          EXPECT_EQ(got.total_fresh, want.total_fresh) << epoch;
+          EXPECT_EQ(got.max_fresh, want.max_fresh) << epoch;
+          EXPECT_EQ(table.users(), static_cast<long long>(model.users.size()));
+        }
+        // The trace reached every verdict the combination allows.
+        EXPECT_GT(seen_verdicts[FrameClass::kFresh], 0);
+        EXPECT_GT(seen_verdicts[FrameClass::kRateLimited], 0);
+        EXPECT_EQ(seen_verdicts[FrameClass::kDuplicate] > 0, one_per_epoch);
+        EXPECT_EQ(seen_verdicts[FrameClass::kMemoized] > 0, trust_replays);
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -299,6 +436,7 @@ class PerRecordSink final : public IngestSink {
   IngestResult Ingest(const IngestRequest& request) override {
     return inner_.Ingest(request);
   }
+  UserStateTable* user_state() override { return inner_.user_state(); }
 
  private:
   IngestSink& inner_;
@@ -407,115 +545,372 @@ std::vector<std::uint8_t> EpochTraffic(
 }
 
 TEST(WireSessionTest, PullIngestMatchesPerRecordIngest) {
-  for (const fo::Protocol protocol : {fo::Protocol::kGrr, fo::Protocol::kOue}) {
-    SCOPED_TRACE(fo::ProtocolName(protocol));
-    auto oracle = fo::MakeOracle(protocol, 16, 1.0);
-    Rng rng(77);
-    std::vector<std::vector<std::uint8_t>> frames;
-    for (int v = 0; v < oracle->k(); ++v) {
-      frames.push_back(
-          fo::SerializeReport(*oracle, oracle->Randomize(v, rng)));
-    }
-    LongitudinalOptions options;
-    options.collector.lanes = 2;
-
-    // Pull path: the sessions hand their chunks to the collector's own
-    // IngestAll. Per-record path: the same collector type behind a sink
-    // that keeps the default IngestAll.
-    EpochManager pull(*oracle, options);
-    EpochManager per_record(*oracle, options);
-    PerRecordSink per_record_sink(per_record.longitudinal());
-    AdmissionOptions admission;
-    admission.per_user_rate = 1.0;
-    admission.per_user_burst = 2.0;  // a third send in one epoch is limited
-    UserAdmissionTable pull_users(admission);
-    UserAdmissionTable per_record_users(admission);
-    std::vector<WireSession> pull_sessions;
-    std::vector<WireSession> per_record_sessions;
-    pull_sessions.reserve(2);
-    per_record_sessions.reserve(2);
-    for (int c = 0; c < 2; ++c) {
-      pull_sessions.emplace_back(pull.longitudinal(), &pull_users,
-                                 WireSessionOptions{}, c, 0.0);
-      per_record_sessions.emplace_back(per_record_sink, &per_record_users,
-                                       WireSessionOptions{}, c, 0.0);
-    }
-
-    Rng traffic_rng(5);
-    Rng pull_chunks(101);
-    Rng per_record_chunks(202);
-    for (int epoch = 0; epoch < 3; ++epoch) {
-      // Buckets refill between epochs; one clock value per epoch keeps
-      // admission independent of the chunking.
-      const double now = 10.0 * epoch;
-      std::vector<std::vector<std::uint8_t>> wires;
-      for (int c = 0; c < 2; ++c) {
-        wires.push_back(EpochTraffic(frames, c, epoch, traffic_rng));
+  // Per-user admission either in the sessions, through tables of their own,
+  // or in the sink, through its user-state table (one lookup per record).
+  for (const bool on_sink_table : {false, true}) {
+    for (const fo::Protocol protocol :
+         {fo::Protocol::kGrr, fo::Protocol::kOue}) {
+      SCOPED_TRACE(fo::ProtocolName(protocol));
+      SCOPED_TRACE(on_sink_table ? "admission on the sink's table"
+                                 : "admission in the session");
+      auto oracle = fo::MakeOracle(protocol, 16, 1.0);
+      Rng rng(77);
+      std::vector<std::vector<std::uint8_t>> frames;
+      for (int v = 0; v < oracle->k(); ++v) {
+        frames.push_back(
+            fo::SerializeReport(*oracle, oracle->Randomize(v, rng)));
       }
-      // Records arriving between epochs: kClosedEpoch on both paths.
+      LongitudinalOptions options;
+      options.collector.lanes = 2;
+
+      // Pull path: the sessions hand their chunks to the collector's own
+      // IngestAll. Per-record path: the same collector type behind a sink
+      // that keeps the default IngestAll.
+      EpochManager pull(*oracle, options);
+      EpochManager per_record(*oracle, options);
+      PerRecordSink per_record_sink(per_record.longitudinal());
+      AdmissionOptions admission;
+      admission.per_user_rate = 1.0;
+      admission.per_user_burst = 2.0;  // a third send in one epoch is limited
+      UserAdmissionTable pull_own(admission);
+      UserAdmissionTable per_record_own(admission);
+      UserStateTable* pull_users = &pull_own;
+      UserStateTable* per_record_users = &per_record_own;
+      if (on_sink_table) {
+        pull_users = pull.longitudinal().user_state();
+        per_record_users = per_record_sink.user_state();
+        pull_users->EnableAdmission(admission);
+        per_record_users->EnableAdmission(admission);
+      }
+      std::vector<WireSession> pull_sessions;
+      std::vector<WireSession> per_record_sessions;
+      pull_sessions.reserve(2);
+      per_record_sessions.reserve(2);
       for (int c = 0; c < 2; ++c) {
-        std::vector<std::uint8_t> early;
-        AppendWireRecord(kAnonymousUser, frames[0], early);
-        AppendWireRecord(1000 + c, frames[1], early);
-        FeedInRandomChunks(pull_sessions[c], early, 64, now, pull_chunks);
-        FeedInRandomChunks(per_record_sessions[c], early, 64, now,
-                           per_record_chunks);
+        pull_sessions.emplace_back(pull.longitudinal(), pull_users,
+                                   WireSessionOptions{}, c, 0.0);
+        per_record_sessions.emplace_back(per_record_sink, per_record_users,
+                                         WireSessionOptions{}, c, 0.0);
+      }
+      long long sealed_rate_limited = 0;
+
+      Rng traffic_rng(5);
+      Rng pull_chunks(101);
+      Rng per_record_chunks(202);
+      for (int epoch = 0; epoch < 3; ++epoch) {
+        // Buckets refill between epochs; one clock value per epoch keeps
+        // admission independent of the chunking.
+        const double now = 10.0 * epoch;
+        std::vector<std::vector<std::uint8_t>> wires;
+        for (int c = 0; c < 2; ++c) {
+          wires.push_back(EpochTraffic(frames, c, epoch, traffic_rng));
+        }
+        // Records arriving between epochs: kClosedEpoch on both paths.
+        for (int c = 0; c < 2; ++c) {
+          std::vector<std::uint8_t> early;
+          AppendWireRecord(kAnonymousUser, frames[0], early);
+          AppendWireRecord(1000 + c, frames[1], early);
+          FeedInRandomChunks(pull_sessions[c], early, 64, now, pull_chunks);
+          FeedInRandomChunks(per_record_sessions[c], early, 64, now,
+                             per_record_chunks);
+        }
+        pull.OpenEpoch();
+        per_record.OpenEpoch();
+        for (int c = 0; c < 2; ++c) {
+          FeedInRandomChunks(pull_sessions[c], wires[c], 200, now,
+                             pull_chunks);
+          FeedInRandomChunks(per_record_sessions[c], wires[c], 40, now,
+                             per_record_chunks);
+        }
+        const EstimateSnapshot& a = pull.Seal();
+        const EstimateSnapshot& b = per_record.Seal();
+        SCOPED_TRACE(epoch);
+        ExpectSameSnapshot(a, b);
+        // The mix really exercised every outcome.
+        EXPECT_GT(a.stats.reports, 0);
+        EXPECT_GT(a.stats.rejected, 0);
+        EXPECT_GT(a.stats.duplicates, 0);
+        EXPECT_GT(a.stats.closed_epoch, 0);
+        if (epoch > 0) {
+          EXPECT_GT(a.ledger.memoized, 0);
+        }
+        sealed_rate_limited += a.stats.rate_limited;
+      }
+      long long session_rate_limited = 0;
+      for (int c = 0; c < 2; ++c) {
+        ExpectSameSession(pull_sessions[c].counters(),
+                          per_record_sessions[c].counters());
+        EXPECT_GT(pull_sessions[c].counters().ingest.rate_limited, 0);
+        EXPECT_EQ(pull_sessions[c].buffered(), 0u);
+        session_rate_limited += pull_sessions[c].counters().ingest.rate_limited;
+      }
+      // In the session, rate-limited records never reach the sink; on the
+      // sink's table the sealed stats count every one of them.
+      EXPECT_EQ(sealed_rate_limited, on_sink_table ? session_rate_limited : 0);
+
+      // A chunk with a protocol error after N good records: exactly those N
+      // are ingested, on both paths, and nothing after the error is.
+      const int good = 5;
+      std::vector<std::uint8_t> broken;
+      for (int i = 0; i < good; ++i) {
+        AppendWireRecord(kAnonymousUser, frames[i], broken);
+      }
+      broken.push_back(0x00);
+      broken.push_back(0x03);  // body shorter than the user id
+      for (int i = 0; i < 3; ++i) {
+        AppendWireRecord(kAnonymousUser, frames[i], broken);
       }
       pull.OpenEpoch();
       per_record.OpenEpoch();
-      for (int c = 0; c < 2; ++c) {
-        FeedInRandomChunks(pull_sessions[c], wires[c], 200, now,
-                           pull_chunks);
-        FeedInRandomChunks(per_record_sessions[c], wires[c], 40, now,
-                           per_record_chunks);
-      }
+      WireSession pull_session(pull.longitudinal(), nullptr, {}, 0, 0.0);
+      WireSession per_record_session(per_record_sink, nullptr, {}, 0, 0.0);
+      EXPECT_FALSE(pull_session.Feed(broken, 0.0));
+      EXPECT_FALSE(per_record_session.Feed(broken, 0.0));
+      EXPECT_EQ(pull_session.counters().records, good);
+      EXPECT_EQ(pull_session.counters().ingest.reports, good);
+      EXPECT_EQ(pull_session.counters().protocol_errors, 1);
+      ExpectSameSession(pull_session.counters(), per_record_session.counters());
       const EstimateSnapshot& a = pull.Seal();
-      const EstimateSnapshot& b = per_record.Seal();
-      SCOPED_TRACE(epoch);
-      ExpectSameSnapshot(a, b);
-      // The mix really exercised every outcome.
-      EXPECT_GT(a.stats.reports, 0);
-      EXPECT_GT(a.stats.rejected, 0);
-      EXPECT_GT(a.stats.duplicates, 0);
-      EXPECT_GT(a.stats.closed_epoch, 0);
-      if (epoch > 0) {
-        EXPECT_GT(a.ledger.memoized, 0);
+      EXPECT_EQ(a.n, good);
+      ExpectSameSnapshot(a, per_record.Seal());
+    }
+  }
+}
+
+// The sealed counters of a snapshot, comparable with a session's.
+IngestCounters SealedCounters(const EstimateSnapshot& snapshot) {
+  IngestCounters out;
+  out.reports = snapshot.stats.reports;
+  out.bytes = snapshot.stats.bytes;
+  out.rejected = snapshot.stats.rejected;
+  out.duplicates = snapshot.stats.duplicates;
+  out.rate_limited = snapshot.stats.rate_limited;
+  out.shed = snapshot.stats.shed;
+  out.closed_epoch = snapshot.stats.closed_epoch;
+  return out;
+}
+
+IngestCounters Minus(IngestCounters a, const IngestCounters& b) {
+  a.reports -= b.reports;
+  a.bytes -= b.bytes;
+  a.rejected -= b.rejected;
+  a.duplicates -= b.duplicates;
+  a.rate_limited -= b.rate_limited;
+  a.shed -= b.shed;
+  a.closed_epoch -= b.closed_epoch;
+  return a;
+}
+
+TEST(WireSessionTest, SinkTableAdmitsAfterValidationAndTheEpochCheck) {
+  // A LongitudinalCollector behind a WireSession built on the collector's
+  // own table: admission runs in the gate, after frame validation and the
+  // open-epoch check, and before the duplicate and replay checks.
+  auto oracle = fo::MakeOracle(fo::Protocol::kGrr, 16, 1.0);
+  const double eps = oracle->epsilon();
+  std::vector<std::vector<std::uint8_t>> frames;
+  for (int v = 0; v < oracle->k(); ++v) {
+    fo::Report report;
+    report.value = v;
+    frames.push_back(fo::SerializeReport(*oracle, report));
+  }
+  std::vector<std::uint8_t> malformed = frames[0];
+  malformed.push_back(0);
+  const AdmissionOptions admission{.per_user_rate = 1.0,
+                                   .per_user_burst = 2.0};
+  LongitudinalOptions options;
+  options.collector.lanes = 1;
+  LongitudinalCollector collector(*oracle, options);
+  collector.user_state()->EnableAdmission(admission);
+  WireSession session(collector, collector.user_state(), {}, 0, 0.0);
+  auto feed = [&](std::initializer_list<std::pair<long long, int>> records,
+                  double now) {
+    std::vector<std::uint8_t> wire;
+    for (const auto& [user, value] : records) {
+      AppendWireRecord(static_cast<std::uint64_t>(user),
+                       value < 0 ? malformed
+                                 : frames[static_cast<std::size_t>(value)],
+                       wire);
+    }
+    ASSERT_TRUE(session.Feed(wire, now));
+  };
+
+  // Closed epoch, then malformed frames: four records, no token spent.
+  feed({{1, 3}, {1, -1}}, 0.0);
+  collector.OpenEpoch();
+  feed({{1, -1}, {1, -1}}, 0.0);
+  // Burst 2: the first frame and its duplicate spend both tokens, so the
+  // third send is rate limited, not a duplicate.
+  feed({{1, 3}, {1, 3}, {1, 3}, {2, 4}, {2, 4}, {2, 5}}, 0.0);
+  IngestCounters before = session.counters().ingest;
+  EXPECT_EQ(before.reports, 2);
+  EXPECT_EQ(before.rejected, 2);
+  EXPECT_EQ(before.closed_epoch, 2);
+  EXPECT_EQ(before.duplicates, 2);
+  EXPECT_EQ(before.rate_limited, 2);
+  const EstimateSnapshot& first = collector.Seal();
+  ExpectSameIngest(SealedCounters(first), before);
+  EXPECT_EQ(first.ledger.fresh, 2);
+
+  // One token back a second later: user 1's replay spends it, and the
+  // user's second send is rate limited before the duplicate check.
+  collector.OpenEpoch();
+  feed({{1, 3}, {1, 3}, {2, 5}}, 1.0);
+  const EstimateSnapshot& second = collector.Seal();
+  const IngestCounters delta = Minus(session.counters().ingest, before);
+  ExpectSameIngest(SealedCounters(second), delta);
+  EXPECT_EQ(delta.rate_limited, 1);
+  EXPECT_EQ(delta.duplicates, 0);
+  EXPECT_EQ(second.ledger.fresh, 1);
+  EXPECT_EQ(second.ledger.memoized, 1);
+
+  // A random trace of bursts, refills, duplicates, replays, malformed and
+  // closed-epoch records: every sealed epoch's counters equal the
+  // session's, and its ledgers equal the brute-force model's.
+  UserStateModel model(admission);
+  const std::tuple<long long, int, long long> admissible[] = {
+      {1, 3, 0}, {1, 3, 0}, {1, 3, 0}, {2, 4, 0}, {2, 4, 0},
+      {2, 5, 0}, {1, 3, 1}, {1, 3, 1}, {2, 5, 1}};
+  for (const auto& [user, value, epoch] : admissible) {
+    model.Step(user, static_cast<double>(epoch),
+               frames[static_cast<std::size_t>(value)], epoch, true, true);
+  }
+  model.epoch_fresh = 0;
+  model.epoch_memoized = 0;
+  Rng rng(31);
+  double clock = 1.0;
+  for (long long epoch = 2; epoch < 10; ++epoch) {
+    before = session.counters().ingest;
+    IngestCounters want;
+    for (int burst = 0; burst < 60; ++burst) {
+      const bool open = burst >= 4;  // the first bursts arrive closed
+      if (open && !collector.open()) collector.OpenEpoch();
+      clock += 0.02 * static_cast<double>(rng.UniformInt(10));
+      std::vector<std::uint8_t> wire;
+      for (int i = 0, n = 1 + static_cast<int>(rng.UniformInt(6)); i < n;
+           ++i) {
+        long long user = static_cast<long long>(rng.UniformInt(24)) - 8;
+        if (user == -1) user = -9;  // -1 is the anonymous-user sentinel
+        const bool bad = rng.UniformInt(12) == 0;
+        const std::vector<std::uint8_t>& frame =
+            bad ? malformed
+                : frames[static_cast<std::size_t>(
+                      (user + 16 + static_cast<long long>(rng.UniformInt(3))) %
+                      16)];
+        AppendWireRecord(static_cast<std::uint64_t>(user), frame, wire);
+        if (!open) {
+          ++want.closed_epoch;
+        } else if (bad) {
+          ++want.rejected;
+        } else {
+          switch (model.Step(user, clock, frame, epoch, true, true)) {
+            case FrameClass::kRateLimited:
+              ++want.rate_limited;
+              break;
+            case FrameClass::kDuplicate:
+              ++want.duplicates;
+              break;
+            default:
+              ++want.reports;
+              want.bytes += static_cast<long long>(frame.size());
+          }
+        }
+      }
+      ASSERT_TRUE(session.Feed(wire, clock));
+    }
+    const EstimateSnapshot& sealed = collector.Seal();
+    SCOPED_TRACE(epoch);
+    ExpectSameIngest(SealedCounters(sealed), want);
+    ExpectSameIngest(Minus(session.counters().ingest, before), want);
+    EXPECT_GT(want.rate_limited, 0);
+    EXPECT_EQ(sealed.ledger.fresh, model.epoch_fresh);
+    EXPECT_EQ(sealed.ledger.memoized, model.epoch_memoized);
+    model.epoch_fresh = 0;
+    model.epoch_memoized = 0;
+    const UserStateTable::UserStats stats = model.Totals();
+    EXPECT_EQ(sealed.cumulative_ledger.users, stats.users);
+    EXPECT_EQ(sealed.cumulative_ledger.mean_user_epsilon,
+              static_cast<double>(stats.total_fresh) /
+                  static_cast<double>(stats.users) * eps);
+    EXPECT_EQ(sealed.cumulative_ledger.max_user_epsilon,
+              static_cast<double>(stats.max_fresh) * eps);
+  }
+}
+
+TEST(WireSessionTest, SameUserOnTwoLanesPullMatchesPerRecordIngest) {
+  // Two connections on two lanes, fed concurrently, send for the same
+  // users, admitted and classified through the sink's table. Every user
+  // sends one frame per epoch on both lanes (a third copy for some), so
+  // whichever lane wins, the epoch holds one accepted report, one
+  // duplicate and, past the burst, one rate-limited record per user: the
+  // sealed epochs do not depend on the interleaving, and the pull path
+  // must match the per-record one.
+  auto oracle = fo::MakeOracle(fo::Protocol::kGrr, 16, 1.0);
+  std::vector<std::vector<std::uint8_t>> frames;
+  for (int v = 0; v < oracle->k(); ++v) {
+    fo::Report report;
+    report.value = v;
+    frames.push_back(fo::SerializeReport(*oracle, report));
+  }
+  const AdmissionOptions admission{.per_user_rate = 1.0,
+                                   .per_user_burst = 2.0};
+  const long long users = 3000;
+  LongitudinalOptions options;
+  options.collector.lanes = 2;
+  LongitudinalCollector pull(*oracle, options);
+  LongitudinalCollector per_record(*oracle, options);
+  PerRecordSink per_record_sink(per_record);
+  pull.user_state()->EnableAdmission(admission);
+  per_record.user_state()->EnableAdmission(admission);
+
+  SessionCounters pull_total;
+  SessionCounters per_record_total;
+  for (int epoch = 0; epoch < 3; ++epoch) {
+    std::vector<std::vector<std::uint8_t>> wires(2);
+    long long third_copies = 0;
+    for (long long u = 0; u < users; ++u) {
+      const auto& frame = frames[static_cast<std::size_t>(
+          (u + (u % 3 == 0 ? epoch : 0)) % 16)];
+      for (int c = 0; c < 2; ++c) {
+        AppendWireRecord(static_cast<std::uint64_t>(u), frame, wires[c]);
+      }
+      if (u % 5 == 0) {
+        AppendWireRecord(static_cast<std::uint64_t>(u), frame, wires[0]);
+        ++third_copies;
       }
     }
-    for (int c = 0; c < 2; ++c) {
-      ExpectSameSession(pull_sessions[c].counters(),
-                        per_record_sessions[c].counters());
-      // Rate limiting happens in the session, before either sink.
-      EXPECT_GT(pull_sessions[c].counters().ingest.rate_limited, 0);
-      EXPECT_EQ(pull_sessions[c].buffered(), 0u);
-    }
-
-    // A chunk with a protocol error after N good records: exactly those N
-    // are ingested, on both paths, and nothing after the error is.
-    const int good = 5;
-    std::vector<std::uint8_t> broken;
-    for (int i = 0; i < good; ++i) {
-      AppendWireRecord(kAnonymousUser, frames[i], broken);
-    }
-    broken.push_back(0x00);
-    broken.push_back(0x03);  // body shorter than the user id
-    for (int i = 0; i < 3; ++i) {
-      AppendWireRecord(kAnonymousUser, frames[i], broken);
-    }
+    const double now = 10.0 * epoch;
     pull.OpenEpoch();
     per_record.OpenEpoch();
-    WireSession pull_session(pull.longitudinal(), nullptr, {}, 0, 0.0);
-    WireSession per_record_session(per_record_sink, nullptr, {}, 0, 0.0);
-    EXPECT_FALSE(pull_session.Feed(broken, 0.0));
-    EXPECT_FALSE(per_record_session.Feed(broken, 0.0));
-    EXPECT_EQ(pull_session.counters().records, good);
-    EXPECT_EQ(pull_session.counters().ingest.reports, good);
-    EXPECT_EQ(pull_session.counters().protocol_errors, 1);
-    ExpectSameSession(pull_session.counters(), per_record_session.counters());
+    auto run = [&](IngestSink& sink, SessionCounters& total) {
+      std::vector<std::thread> producers;
+      std::vector<SessionCounters> counters(2);
+      for (int c = 0; c < 2; ++c) {
+        producers.emplace_back([&, c] {
+          WireSession session(sink, sink.user_state(), {}, c, now);
+          const std::vector<std::uint8_t>& wire = wires[c];
+          for (std::size_t at = 0; at < wire.size(); at += 4096) {
+            ASSERT_TRUE(session.Feed(
+                {wire.data() + at, std::min<std::size_t>(
+                                       4096, wire.size() - at)},
+                now));
+          }
+          counters[c] = session.counters();
+        });
+      }
+      for (std::thread& t : producers) t.join();
+      for (const SessionCounters& c : counters) total.Merge(c);
+    };
+    run(pull, pull_total);
+    run(per_record_sink, per_record_total);
     const EstimateSnapshot& a = pull.Seal();
-    EXPECT_EQ(a.n, good);
-    ExpectSameSnapshot(a, per_record.Seal());
+    const EstimateSnapshot& b = per_record.Seal();
+    SCOPED_TRACE(epoch);
+    ExpectSameSnapshot(a, b);
+    EXPECT_EQ(a.n, users);
+    EXPECT_EQ(a.stats.duplicates, users);
+    EXPECT_EQ(a.stats.rate_limited, third_copies);
   }
+  ExpectSameSession(pull_total, per_record_total);
 }
 
 // A source over a fixed request list, recording every verdict.
@@ -600,13 +995,34 @@ TEST(WireSessionTest, SealRacingAChunkFilesEveryRecordOnce) {
     AppendWireRecord(static_cast<std::uint64_t>(i), frame, chunk);
   }
 
+  // The race hook parks the producer between its chunk's open() check and
+  // the lane lock when asked, so a seal can land exactly there.
+  std::atomic<bool> park{false};
+  std::atomic<bool> parked{false};
+  std::atomic<bool> release{false};
+  bool chunk_parked = false;  // producer thread only
+  collector.SetChunkHookForTesting([&] {
+    if (!park.exchange(false)) return;
+    chunk_parked = true;
+    parked.store(true);
+    while (!release.exchange(false)) std::this_thread::yield();
+  });
+
   std::atomic<bool> stop{false};
   std::atomic<long long> fed{0};
   SessionCounters counters;
+  long long parked_chunks = 0;
+  IngestCounters parked_outcome;
   std::thread producer([&] {
     WireSession session(collector, nullptr, {}, 0, 0.0);
     while (!stop.load(std::memory_order_relaxed)) {
+      const IngestCounters before = session.counters().ingest;
+      chunk_parked = false;
       if (!session.Feed(chunk, 0.0)) break;
+      if (chunk_parked) {
+        ++parked_chunks;
+        parked_outcome.Merge(Minus(session.counters().ingest, before));
+      }
       fed.fetch_add(1, std::memory_order_relaxed);
     }
     counters = session.counters();
@@ -635,8 +1051,22 @@ TEST(WireSessionTest, SealRacingAChunkFilesEveryRecordOnce) {
       ++throws;
     }
   };
+  int parks = 0;
   for (int c = 0; c < 300 && throws == 0; ++c) {
     collector.OpenEpoch();
+    if (c % 10 == 5) {
+      // A chunk that saw the epoch open reaches its lane only after the
+      // seal: every record in it must be refused kClosedEpoch (or
+      // kMalformed), none filed into the sealed epoch or the next.
+      park.store(true);
+      while (!parked.exchange(false)) std::this_thread::yield();
+      seal();
+      const long long done = fed.load();
+      release.store(true);
+      while (fed.load() == done) std::this_thread::yield();
+      ++parks;
+      continue;
+    }
     // Seal while a chunk that started inside the epoch is in flight.
     const long long opened_at = fed.load(std::memory_order_relaxed);
     while (fed.load(std::memory_order_relaxed) < opened_at + 2) {
@@ -654,6 +1084,10 @@ TEST(WireSessionTest, SealRacingAChunkFilesEveryRecordOnce) {
 
   EXPECT_EQ(throws, 0);
   EXPECT_EQ(mismatched, 0);
+  EXPECT_EQ(parked_chunks, parks);
+  EXPECT_EQ(parked_outcome.reports, 0);
+  EXPECT_EQ(parked_outcome.closed_epoch + parked_outcome.rejected,
+            parks * per_chunk);
   EXPECT_EQ(counters.protocol_errors, 0);
   EXPECT_EQ(counters.records, fed.load() * per_chunk);
   EXPECT_EQ(counters.records,
