@@ -21,12 +21,14 @@
 #include <vector>
 
 #include "core/rng.h"
+#include "data/synthetic.h"
 #include "fo/factory.h"
 #include "fo/wire.h"
 #include "obs/metrics.h"
 #include "serve/collector.h"
 #include "serve/loadgen.h"
 #include "serve/longitudinal.h"
+#include "serve/multidim_collector.h"
 #include "serve/server.h"
 #include "serve/wire_session.h"
 
@@ -105,6 +107,49 @@ void BM_ServeIngestMT(benchmark::State& state, fo::Protocol protocol,
       benchmark::Counter::kIsRate);
   if (telemetry) benchmark::DoNotOptimize(registry.RenderPrometheus());
   benchmark::DoNotOptimize(collector.Drain());
+}
+
+// Multidimensional ingest: `producers` real threads (serve::IngestFrames,
+// lanes == producers) feeding an ACS-like population of 250k users (d = 18)
+// into a MultidimCollector, as SMP[OUE] or RS+FD[GRR] tuples at eps = 1 —
+// the two tuple sets of perfbench's multidim_tuples workload.
+// items_per_second is the aggregate tuple rate; `scaling_eff` is the
+// per-producer rate (divide by the /1 row for parallel efficiency).
+struct MultidimLoad {
+  data::Dataset dataset = data::AcsEmploymentLike(1, 250000.0 /
+                                                        data::kAcsEmploymentN);
+  multidim::Smp smp{fo::Protocol::kOue, dataset.domain_sizes(), 1.0};
+  multidim::RsFd rsfd{multidim::RsFdVariant::kGrr, dataset.domain_sizes(),
+                      1.0};
+  serve::EncodedFrames smp_frames;
+  serve::EncodedFrames rsfd_frames;
+
+  MultidimLoad() {
+    Rng root(7);
+    smp_frames = serve::EncodeSmpLoad(smp, dataset, root);
+    rsfd_frames = serve::EncodeRsFdLoad(rsfd, dataset, root);
+  }
+};
+
+void BM_MultidimIngest(benchmark::State& state, bool smp) {
+  static const MultidimLoad load;  // encoded once for every row
+  const int producers = static_cast<int>(state.range(0));
+  const serve::CollectorOptions options{.lanes = producers};
+  serve::MultidimCollector collector =
+      smp ? serve::MultidimCollector(load.smp, options)
+          : serve::MultidimCollector(load.rsfd, options);
+  const serve::EncodedFrames& frames =
+      smp ? load.smp_frames : load.rsfd_frames;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        serve::IngestFrames(collector, frames, producers));
+  }
+  state.SetItemsProcessed(state.iterations() * frames.count());
+  state.counters["producers"] = producers;
+  state.counters["scaling_eff"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * frames.count()) / producers,
+      benchmark::Counter::kIsRate);
+  benchmark::DoNotOptimize(collector.Seal());
 }
 
 // Full epoch round trip: open, ingest the stream, seal (merge + estimate +
@@ -447,6 +492,11 @@ BENCHMARK_CAPTURE(BM_ServeIngestMT, grr_obs, fo::Protocol::kGrr, true)
     ->Arg(1)->Arg(8)->Unit(benchmark::kMillisecond)->UseRealTime();
 BENCHMARK_CAPTURE(BM_ServeIngestMT, oue_obs, fo::Protocol::kOue, true)
     ->Arg(1)->Arg(8)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+BENCHMARK_CAPTURE(BM_MultidimIngest, smp, true)
+    ->Arg(1)->Arg(3)->Unit(benchmark::kMillisecond)->UseRealTime();
+BENCHMARK_CAPTURE(BM_MultidimIngest, rsfd, false)
+    ->Arg(1)->Arg(3)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 BENCHMARK_CAPTURE(BM_ServeEpochRoundTrip, grr, fo::Protocol::kGrr)
     ->Arg(1 << 18)->Unit(benchmark::kMillisecond);

@@ -1,5 +1,7 @@
 #include "fo/frequency_oracle.h"
 
+#include <cstring>
+
 #include "core/check.h"
 #include "fo/bitslice.h"
 #include "fo/wire.h"
@@ -105,6 +107,12 @@ std::uint8_t* Aggregator::StageRowSlot(std::size_t stride) {
 
 void Aggregator::CommitStagedRow() {
   if (++staged_rows_ == bitslice::kBlockRows) FlushStaged();
+}
+
+void Aggregator::AccumulateFrame(std::span<const std::uint8_t> frame) {
+  std::memcpy(StageRowSlot(bitslice::RowStride(frame.size())), frame.data(),
+              frame.size());
+  CommitStagedRow();
 }
 
 void Aggregator::FlushStaged() const {

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -200,6 +201,16 @@ class Aggregator {
   /// fo_bitslice_exact_test.
   virtual void AccumulateWireBlock(const std::uint8_t* frames,
                                    std::size_t stride, int count);
+
+  /// Stages one pre-validated wire frame for AccumulateWireBlock: copies it
+  /// into the next row of the staging block (StageRowSlot + memcpy +
+  /// CommitStagedRow), so the protocol's block kernel decodes it when the
+  /// block fills or the state is next read. `frame` must be one exact
+  /// SerializeReport image of this aggregator's oracle
+  /// (WireDecoder::Validate-accepted), the same size on every call. Same
+  /// counts()/n() as WireDecoder::DecodeInto on the frame (pinned by
+  /// fo_bitslice_exact_test).
+  void AccumulateFrame(std::span<const std::uint8_t> frame);
 
   /// Folds another aggregator of the same protocol/domain into this one.
   void Merge(const Aggregator& other);

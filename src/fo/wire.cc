@@ -220,9 +220,9 @@ WireDecoder::WireDecoder(const FrequencyOracle& oracle)
 
 bool WireDecoder::DecodeInto(std::span<const std::uint8_t> buffer,
                              Aggregator& agg) {
-  if (!ExactWireSize(buffer, report_bits_)) return false;
-  int bit_offset = 0;
-  if (!DecodeField(buffer.data(), &bit_offset)) return false;
+  if (!ExactWireSize(buffer, report_bits_) || !DecodeField(buffer.data())) {
+    return false;
+  }
   agg.Accumulate(scratch_);
   return true;
 }
@@ -273,8 +273,8 @@ bool WireDecoder::Validate(std::span<const std::uint8_t> buffer) {
   return false;
 }
 
-bool WireDecoder::DecodeField(const std::uint8_t* data, int* bit_offset) {
-  BitCursor cursor{data, *bit_offset};
+bool WireDecoder::DecodeField(const std::uint8_t* data) {
+  BitCursor cursor{data};
   switch (protocol_) {
     case Protocol::kGrr: {
       const int value = static_cast<int>(cursor.Read(value_width_));
@@ -301,25 +301,14 @@ bool WireDecoder::DecodeField(const std::uint8_t* data, int* bit_offset) {
     }
     case Protocol::kSue:
     case Protocol::kOue: {
-      // Any bit pattern of the right width is a valid UE report. Byte-wise
-      // unpack on the aligned fast path (whole buffers always are); generic
-      // cursor reads when packed mid-tuple.
-      if ((cursor.position & 7) == 0) {
-        const std::uint8_t* base = data + (cursor.position >> 3);
-        for (int i = 0; i < k_; ++i) {
-          scratch_.bits[i] =
-              static_cast<std::uint8_t>((base[i >> 3] >> (7 - (i & 7))) & 1);
-        }
-        cursor.position += k_;
-      } else {
-        for (int i = 0; i < k_; ++i) {
-          scratch_.bits[i] = static_cast<std::uint8_t>(cursor.Read(1));
-        }
+      // Any bit pattern of the right width is a valid UE report.
+      for (int i = 0; i < k_; ++i) {
+        scratch_.bits[i] =
+            static_cast<std::uint8_t>((data[i >> 3] >> (7 - (i & 7))) & 1);
       }
       break;
     }
   }
-  *bit_offset = cursor.position;
   return true;
 }
 

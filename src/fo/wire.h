@@ -154,28 +154,15 @@ class WireDecoder {
   bool DecodeInto(std::span<const std::uint8_t> buffer, Aggregator& agg);
 
   /// Accept/reject without decoding or accumulating — the staging-buffer
-  /// half of the bitsliced ingest path (serve::Collector validates and
-  /// copies each frame here, deferring all decode work to
-  /// fo::Aggregator::AccumulateWireBlock at flush). Accepts exactly the
-  /// buffers DecodeInto accepts (pinned by the serve fuzz tests). Non-const
-  /// for the same reason DecodeInto is: SS field checks run over a reusable
-  /// padded scratch so extraction is branchless word loads, never reading
-  /// past the caller's buffer.
+  /// half of the bitsliced ingest path (serve::Collector validates each
+  /// frame here, serve::MultidimCollector each tuple field shifted into a
+  /// row of its own, and both stage the accepted bytes for
+  /// fo::Aggregator::AccumulateWireBlock). Accepts exactly the buffers
+  /// DecodeInto accepts (pinned by the serve fuzz tests). Non-const for the
+  /// same reason DecodeInto is: SS field checks run over a reusable padded
+  /// scratch so extraction is branchless word loads, never reading past the
+  /// caller's buffer.
   bool Validate(std::span<const std::uint8_t> buffer);
-
-  /// Field-level half of DecodeInto for packed multidimensional tuples
-  /// (serve/multidim_collector): decodes one report starting at bit
-  /// `*bit_offset` of `data` into the internal scratch and advances the
-  /// offset. The caller must already have validated that the buffer extends
-  /// at least report_bits() past the offset; only field *values* are checked
-  /// here. Returns false on an out-of-range / non-increasing field, in which
-  /// case the caller drops the whole tuple (nothing was accumulated).
-  bool DecodeField(const std::uint8_t* data, int* bit_offset);
-
-  /// Accumulates the report last decoded by a successful DecodeField.
-  /// Splitting decode from accumulate lets a tuple decoder validate every
-  /// attribute before mutating any aggregator (all-or-nothing ingest).
-  void AccumulateScratch(Aggregator& agg) const { agg.Accumulate(scratch_); }
 
   /// The exact buffer size DecodeInto accepts.
   std::size_t report_bytes() const { return report_bytes_; }
@@ -183,6 +170,10 @@ class WireDecoder {
   int report_bits() const { return report_bits_; }
 
  private:
+  /// Decodes the report of a length-checked buffer into scratch_. Returns
+  /// false on an out-of-range / non-increasing field.
+  bool DecodeField(const std::uint8_t* data);
+
   const Protocol protocol_;
   const int k_;
   int value_width_ = 0;  ///< GRR/SS value width; OLH hashed-value width

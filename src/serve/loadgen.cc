@@ -58,6 +58,89 @@ EncodedFrames EncodeRecordFrames(
   return out;
 }
 
+long long FrameCount(const EncodedStream& stream) { return stream.count; }
+long long FrameCount(const EncodedFrames& frames) { return frames.count(); }
+
+std::span<const std::uint8_t> FrameAt(const EncodedStream& stream,
+                                      long long i) {
+  return {stream.frame(i), stream.frame_bytes};
+}
+
+std::span<const std::uint8_t> FrameAt(const EncodedFrames& frames,
+                                      long long i) {
+  return {frames.frame(i), frames.frame_size(i)};
+}
+
+/// Frames [next, end) of an encoded stream as one IngestSource chunk, all
+/// on one lane; frame i is user first_user + i when attributed. Counts the
+/// accepted verdicts.
+template <typename Frames>
+class FrameChunk final : public IngestSource {
+ public:
+  FrameChunk(const Frames& frames, long long next, long long end, int lane,
+             std::optional<long long> first_user)
+      : frames_(frames),
+        next_(next),
+        end_(end),
+        lane_(lane),
+        first_user_(first_user) {}
+
+  bool Next(IngestRequest& request) override {
+    if (next_ == end_) return false;
+    request.frame = FrameAt(frames_, next_);
+    request.user = first_user_.has_value()
+                       ? std::optional<long long>(*first_user_ + next_)
+                       : std::nullopt;
+    request.lane = lane_;
+    ++next_;
+    return true;
+  }
+  void Done(const IngestRequest&, IngestResult result) override {
+    accepted_ += result.accepted ? 1 : 0;
+  }
+  long long accepted() const { return accepted_; }
+
+ private:
+  const Frames& frames_;
+  long long next_;
+  const long long end_;
+  const int lane_;
+  const std::optional<long long> first_user_;
+  long long accepted_ = 0;
+};
+
+/// Frames per IngestAll call: a Seal racing a producer waits for at most
+/// one chunk's run under the lane mutex.
+constexpr long long kProducerChunk = 4096;
+
+/// The one in-process producer loop behind IngestStream, IngestStreamUsers
+/// and IngestFrames: `shards` contiguous shards of the stream (shard s on
+/// lane s, so producers on distinct lanes never contend), each fed to
+/// sink.IngestAll in chunks of kProducerChunk frames, fanned over
+/// `threads` workers. Returns the number of accepted frames.
+template <typename Frames>
+long long Produce(IngestSink& sink, const Frames& frames, int shards,
+                  std::optional<long long> first_user, int threads) {
+  std::vector<long long> accepted(shards, 0);
+  ParallelForShards(
+      FrameCount(frames), shards,
+      [&](int shard, long long lo, long long hi) {
+        long long ok = 0;
+        for (long long begin = lo; begin < hi; begin += kProducerChunk) {
+          FrameChunk<Frames> chunk(frames, begin,
+                                   std::min(hi, begin + kProducerChunk),
+                                   shard, first_user);
+          sink.IngestAll(chunk);
+          ok += chunk.accepted();
+        }
+        accepted[shard] = ok;
+      },
+      threads);
+  long long total = 0;
+  for (long long a : accepted) total += a;
+  return total;
+}
+
 }  // namespace
 
 EncodedStream EncodeScalarLoad(const fo::FrequencyOracle& oracle,
@@ -186,52 +269,12 @@ EncodedStream LongitudinalClients::EncodeRound(const std::vector<int>& values,
 long long IngestStreamUsers(LongitudinalCollector& collector,
                             const EncodedStream& stream, long long first_user,
                             int threads) {
-  const int shards = collector.lanes();
-  std::vector<long long> accepted(shards, 0);
-  ParallelForShards(
-      stream.count, shards,
-      [&](int shard, long long lo, long long hi) {
-        long long ok = 0;
-        for (long long i = lo; i < hi; ++i) {
-          ok += collector
-                        .Ingest({{stream.frame(i), stream.frame_bytes},
-                                 first_user + i,
-                                 shard})
-                        .accepted
-                    ? 1
-                    : 0;
-        }
-        accepted[shard] = ok;
-      },
-      threads);
-  long long total = 0;
-  for (long long a : accepted) total += a;
-  return total;
+  return Produce(collector, stream, collector.lanes(), first_user, threads);
 }
 
 long long IngestStream(Collector& collector, const EncodedStream& stream,
                        int threads) {
-  const int shards = collector.lanes();
-  std::vector<long long> accepted(shards, 0);
-  ParallelForShards(
-      stream.count, shards,
-      [&](int shard, long long lo, long long hi) {
-        long long ok = 0;
-        for (long long i = lo; i < hi; ++i) {
-          ok += collector
-                        .Ingest({{stream.frame(i), stream.frame_bytes},
-                                 std::nullopt,
-                                 shard})
-                        .accepted
-                    ? 1
-                    : 0;
-        }
-        accepted[shard] = ok;
-      },
-      threads);
-  long long total = 0;
-  for (long long a : accepted) total += a;
-  return total;
+  return Produce(collector, stream, collector.lanes(), std::nullopt, threads);
 }
 
 MtIngestResult IngestStreamMt(Collector& collector,
@@ -248,27 +291,7 @@ MtIngestResult IngestStreamMt(Collector& collector,
 
 long long IngestFrames(MultidimCollector& collector,
                        const EncodedFrames& frames, int threads) {
-  const int shards = collector.lanes();
-  std::vector<long long> accepted(shards, 0);
-  ParallelForShards(
-      frames.count(), shards,
-      [&](int shard, long long lo, long long hi) {
-        long long ok = 0;
-        for (long long i = lo; i < hi; ++i) {
-          ok += collector
-                        .Ingest({{frames.frame(i), frames.frame_size(i)},
-                                 std::nullopt,
-                                 shard})
-                        .accepted
-                    ? 1
-                    : 0;
-        }
-        accepted[shard] = ok;
-      },
-      threads);
-  long long total = 0;
-  for (long long a : accepted) total += a;
-  return total;
+  return Produce(collector, frames, collector.lanes(), std::nullopt, threads);
 }
 
 std::vector<std::uint8_t> FrameStreamRecords(

@@ -80,8 +80,11 @@ EncodedFrames EncodeRsRfdLoad(const multidim::RsRfd& rsrfd,
                               const sim::Options& options = {});
 
 /// Feeds every frame into the collector, producers sharded over lanes
-/// (shard s ingests into lane s: zero lock contention). Returns the number
-/// of accepted reports.
+/// (shard s ingests into lane s: zero lock contention). Each producer pulls
+/// its shard through the sink's IngestAll in chunks of 4096 frames, so it
+/// takes its lane mutex once per chunk and a racing seal waits for at most
+/// one chunk. IngestStreamUsers and IngestFrames share this loop. Returns
+/// the number of accepted reports.
 long long IngestStream(Collector& collector, const EncodedStream& stream,
                        int threads = 0);
 
@@ -101,6 +104,10 @@ struct MtIngestResult {
 /// contended).
 MtIngestResult IngestStreamMt(Collector& collector,
                               const EncodedStream& stream, int producers);
+
+/// IngestStream for multidimensional tuples: shard s of the frames goes to
+/// lane s of the collector in IngestAll chunks. Returns the number of
+/// accepted tuples.
 long long IngestFrames(MultidimCollector& collector,
                        const EncodedFrames& frames, int threads = 0);
 
@@ -151,7 +158,8 @@ class LongitudinalClients {
 
 /// Feeds frame i of the stream into the collector as user `first_user + i`
 /// (accepted frames run through the replay classification), producers
-/// sharded over lanes. Returns the number of accepted reports.
+/// sharded over lanes in IngestAll chunks like IngestStream. Returns the
+/// number of accepted reports.
 long long IngestStreamUsers(LongitudinalCollector& collector,
                             const EncodedStream& stream,
                             long long first_user = 0, int threads = 0);

@@ -1,23 +1,84 @@
 #include "serve/multidim_collector.h"
 
+#include <algorithm>
+#include <cstdlib>
+#include <cstring>
+#include <mutex>
+#include <new>
+
 #include "core/check.h"
 #include "core/parallel.h"
+#include "fo/bitslice.h"
 #include "fo/wire.h"
 
 namespace ldpr::serve {
 
-struct MultidimCollector::Lane {
+namespace {
+
+struct FreeDelete {
+  void operator()(void* p) const { std::free(p); }
+};
+
+/// A zeroed heap array on cache lines of its own: 64-byte aligned and
+/// rounded up to whole lines, so the per-tuple writes of one lane never
+/// share a line with another lane's state.
+template <typename T>
+using LineArray = std::unique_ptr<T[], FreeDelete>;
+
+template <typename T>
+LineArray<T> MakeLineArray(std::size_t count) {
+  const std::size_t bytes =
+      std::max<std::size_t>((count * sizeof(T) + 63) / 64 * 64, 64);
+  void* raw = std::aligned_alloc(64, bytes);
+  if (raw == nullptr) throw std::bad_alloc();
+  std::memset(raw, 0, bytes);
+  return LineArray<T>(static_cast<T*>(raw));
+}
+
+/// Copies the `bits`-bit MSB-first field at bit `offset` of `src` into the
+/// byte-aligned `dst` (ceil(bits / 8) bytes, final padding bits zero),
+/// reading only the bytes of `src` the field occupies.
+void CopyField(const std::uint8_t* src, int offset, int bits,
+               std::uint8_t* dst) {
+  const std::uint8_t* p = src + (offset >> 3);
+  const int shift = offset & 7;
+  const int bytes = (bits + 7) / 8;
+  if (shift == 0) {
+    std::memcpy(dst, p, static_cast<std::size_t>(bytes));
+  } else {
+    const int src_bytes = (shift + bits + 7) / 8;
+    for (int i = 0; i < bytes; ++i) {
+      unsigned v = static_cast<unsigned>(p[i]) << shift;
+      if (i + 1 < src_bytes) v |= p[i + 1] >> (8 - shift);
+      dst[i] = static_cast<std::uint8_t>(v);
+    }
+  }
+  const int padding = bytes * 8 - bits;
+  if (padding > 0) {
+    dst[bytes - 1] &= static_cast<std::uint8_t>(0xFFu << padding);
+  }
+}
+
+}  // namespace
+
+/// Cache-line isolated like Collector::Lane: producers pinned to disjoint
+/// lanes touch disjoint lines (the mutex, tallies and, through LineArray,
+/// the per-tuple rows and counts), so ingest scales with producer threads
+/// and does not depend on where the lanes happen to land in memory.
+struct alignas(64) MultidimCollector::Lane {
   std::mutex mutex;
+  IngestCounters tallies;  ///< tallies.reports is the lane's accepted n
   /// SPL/SMP: one aggregator + wire decoder per attribute.
   std::vector<std::unique_ptr<fo::Aggregator>> per_attribute;
   std::vector<fo::WireDecoder> decoders;
-  /// RS+FD / RS+RFD: the support-count matrix of the StreamAggregators.
-  std::vector<std::vector<long long>> counts;
-  std::vector<int> values_scratch;
-  long long n = 0;
-  IngestCounters tallies;
+  /// SPL/SMP: each attribute's field row (row_offsets_ layout); FD: the
+  /// tuple copy GRR values are extracted from (the tuple fits in the rows,
+  /// which are followed by fo::bitslice::kRowTailSlack bytes).
+  LineArray<std::uint8_t> rows;
+  /// RS+FD / RS+RFD: the support-count matrix of the StreamAggregators,
+  /// flat: attribute j's column starts at cell columns_[j].
+  LineArray<long long> counts;
 };
-
 MultidimCollector::~MultidimCollector() = default;
 
 MultidimCollector::MultidimCollector(Kind kind, std::vector<int> domain_sizes,
@@ -32,8 +93,7 @@ MultidimCollector::MultidimCollector(const multidim::Spl& spl,
                                      const CollectorOptions& options)
     : MultidimCollector(Kind::kSpl, spl.domain_sizes(), options) {
   spl_ = &spl;
-  fixed_tuple_bits_ = SplTupleWireBits(spl);
-  InitLanes(options.lanes);
+  Init(options.lanes);
 }
 
 MultidimCollector::MultidimCollector(const multidim::Smp& smp,
@@ -41,11 +101,7 @@ MultidimCollector::MultidimCollector(const multidim::Smp& smp,
     : MultidimCollector(Kind::kSmp, smp.domain_sizes(), options) {
   smp_ = &smp;
   attr_width_ = fo::CeilLog2(smp.d());
-  value_widths_.resize(smp.d());
-  for (int j = 0; j < smp.d(); ++j) {
-    value_widths_[j] = SmpTupleWireBits(smp, j);
-  }
-  InitLanes(options.lanes);
+  Init(options.lanes);
 }
 
 MultidimCollector::MultidimCollector(const multidim::RsFd& rsfd,
@@ -53,9 +109,7 @@ MultidimCollector::MultidimCollector(const multidim::RsFd& rsfd,
     : MultidimCollector(Kind::kRsFd, rsfd.domain_sizes(), options) {
   rsfd_ = &rsfd;
   ue_variant_ = multidim::IsUeVariant(rsfd.variant());
-  fixed_tuple_bits_ = FdTupleWireBits(ue_variant_, domain_sizes_);
-  for (int k : domain_sizes_) value_widths_.push_back(fo::CeilLog2(k));
-  InitLanes(options.lanes);
+  Init(options.lanes);
 }
 
 MultidimCollector::MultidimCollector(const multidim::RsRfd& rsrfd,
@@ -63,110 +117,185 @@ MultidimCollector::MultidimCollector(const multidim::RsRfd& rsrfd,
     : MultidimCollector(Kind::kRsRfd, rsrfd.domain_sizes(), options) {
   rsrfd_ = &rsrfd;
   ue_variant_ = rsrfd.variant() != multidim::RsRfdVariant::kGrr;
-  fixed_tuple_bits_ = FdTupleWireBits(ue_variant_, domain_sizes_);
-  for (int k : domain_sizes_) value_widths_.push_back(fo::CeilLog2(k));
-  InitLanes(options.lanes);
+  Init(options.lanes);
 }
 
-void MultidimCollector::InitLanes(int lanes) {
+const fo::FrequencyOracle& MultidimCollector::oracle(int j) const {
+  return kind_ == Kind::kSpl ? spl_->oracle(j) : smp_->oracle(j);
+}
+
+void MultidimCollector::Init(int lanes) {
+  static_assert(alignof(Lane) >= 64,
+                "lanes must start on their own cache line");
+  static_assert(sizeof(Lane) % 64 == 0,
+                "lane padding must cover whole cache lines");
+  const bool fd = kind_ == Kind::kRsFd || kind_ == Kind::kRsRfd;
+  field_offsets_.assign(1, 0);
+  row_offsets_.assign(1, 0);
+  if (fd) columns_.assign(1, 0);
+  for (int j = 0; j < d(); ++j) {
+    const int k = domain_sizes_[j];
+    const int bits = !fd         ? fo::SerializedReportBits(oracle(j))
+                     : ue_variant_ ? k
+                                   : fo::CeilLog2(k);
+    field_bits_.push_back(bits);
+    field_offsets_.push_back(field_offsets_.back() + bits);
+    row_offsets_.push_back(row_offsets_.back() +
+                           static_cast<std::size_t>(bits + 7) / 8);
+    // Columns in wire order: for the UE variants cell c is tuple bit c.
+    if (fd) columns_.push_back(columns_.back() + k);
+  }
+
   if (lanes <= 0) lanes = DefaultThreadCount();
   LDPR_CHECK(lanes >= 1, "collector needs at least one lane");
   lanes_.reserve(lanes);
   for (int i = 0; i < lanes; ++i) {
     auto lane = std::make_unique<Lane>();
-    if (kind_ == Kind::kSpl || kind_ == Kind::kSmp) {
+    // Tail slack for the FD kinds' word-wide field extraction
+    // (fo::bitslice::ExtractBits) from the tuple copy.
+    lane->rows = MakeLineArray<std::uint8_t>(row_offsets_.back() +
+                                             fo::bitslice::kRowTailSlack);
+    if (fd) {
+      lane->counts = MakeLineArray<long long>(columns_.back());
+    } else {
       lane->per_attribute.reserve(d());
       lane->decoders.reserve(d());
       for (int j = 0; j < d(); ++j) {
-        const fo::FrequencyOracle& oracle =
-            kind_ == Kind::kSpl ? spl_->oracle(j) : smp_->oracle(j);
-        lane->per_attribute.push_back(oracle.MakeAggregator());
-        lane->decoders.emplace_back(oracle);
+        lane->per_attribute.push_back(oracle(j).MakeAggregator());
+        lane->decoders.emplace_back(oracle(j));
       }
-    } else {
-      lane->counts.resize(d());
-      for (int j = 0; j < d(); ++j) lane->counts[j].assign(domain_sizes_[j], 0);
-      lane->values_scratch.resize(d());
     }
     lanes_.push_back(std::move(lane));
   }
 }
 
-IngestResult MultidimCollector::Ingest(const IngestRequest& request) {
-  Lane& lane =
-      *lanes_[static_cast<std::size_t>(request.lane) % lanes_.size()];
-  const std::uint8_t* data = request.frame.data();
-  const std::size_t size = request.frame.size();
-  std::lock_guard<std::mutex> guard(lane.mutex);
-  const bool accepted = (kind_ == Kind::kSpl || kind_ == Kind::kSmp)
-                            ? IngestSplSmp(lane, data, size)
-                            : IngestFd(lane, data, size);
-  if (accepted) {
-    ++lane.tallies.reports;
-    lane.tallies.bytes += static_cast<long long>(size);
-    return IngestResult::Accepted();
-  }
-  ++lane.tallies.rejected;
-  return IngestResult::Rejected(RejectReason::kMalformed);
+MultidimCollector::Lane& MultidimCollector::LaneFor(int hint) const {
+  return *lanes_[static_cast<std::size_t>(hint) % lanes_.size()];
 }
 
-bool MultidimCollector::IngestSplSmp(Lane& lane, const std::uint8_t* data,
-                                     std::size_t size) {
-  if (kind_ == Kind::kSpl) {
-    if (!fo::ExactWireSize({data, size}, fixed_tuple_bits_)) return false;
-    int offset = 0;
-    // Validate every attribute's field before touching any aggregator.
-    for (int j = 0; j < d(); ++j) {
-      if (!lane.decoders[j].DecodeField(data, &offset)) return false;
-    }
-    for (int j = 0; j < d(); ++j) {
-      lane.decoders[j].AccumulateScratch(*lane.per_attribute[j]);
-    }
-    ++lane.n;
-    return true;
+IngestResult MultidimCollector::Ingest(const IngestRequest& request) {
+  Lane& lane = LaneFor(request.lane);
+  std::lock_guard<std::mutex> guard(lane.mutex);
+  return IngestLocked(lane, request.frame);
+}
+
+void MultidimCollector::IngestAll(IngestSource& source) {
+  IngestRequest request;
+  bool more = source.Next(request);
+  while (more) {
+    const int hint = request.lane;
+    Lane& lane = LaneFor(hint);
+    std::lock_guard<std::mutex> guard(lane.mutex);
+    do {
+      source.Done(request, IngestLocked(lane, request.frame));
+      more = source.Next(request);
+      // Same hint, same lane: skips the modulo on the usual run.
+    } while (more &&
+             (request.lane == hint || &LaneFor(request.lane) == &lane));
   }
-  // SMP: the attribute index determines the tuple's width. Widths compare
-  // in 64-bit so absurdly large buffers reject cleanly instead of
-  // overflowing the bit count.
+}
+
+IngestResult MultidimCollector::IngestLocked(
+    Lane& lane, std::span<const std::uint8_t> frame) {
+  const std::uint8_t* data = frame.data();
+  const std::size_t size = frame.size();
+  bool accepted = false;
+  switch (kind_) {
+    case Kind::kSpl:
+      accepted = IngestSpl(lane, data, size);
+      break;
+    case Kind::kSmp:
+      accepted = IngestSmp(lane, data, size);
+      break;
+    case Kind::kRsFd:
+    case Kind::kRsRfd:
+      accepted = IngestFd(lane, data, size);
+      break;
+  }
+  if (!accepted) {
+    ++lane.tallies.rejected;
+    return IngestResult::Rejected(RejectReason::kMalformed);
+  }
+  ++lane.tallies.reports;
+  lane.tallies.bytes += static_cast<long long>(size);
+  return IngestResult::Accepted();
+}
+
+std::span<const std::uint8_t> MultidimCollector::FieldRow(
+    Lane& lane, const std::uint8_t* data, int bit_offset, int j) const {
+  std::uint8_t* row = lane.rows.get() + row_offsets_[j];
+  CopyField(data, bit_offset, field_bits_[j], row);
+  return {row, row_offsets_[j + 1] - row_offsets_[j]};
+}
+
+bool MultidimCollector::IngestSpl(Lane& lane, const std::uint8_t* data,
+                                  std::size_t size) {
+  if (!fo::ExactWireSize({data, size}, tuple_bits())) return false;
+  // Validate every attribute's row before staging any.
+  for (int j = 0; j < d(); ++j) {
+    if (!lane.decoders[j].Validate(
+            FieldRow(lane, data, field_offsets_[j], j))) {
+      return false;
+    }
+  }
+  for (int j = 0; j < d(); ++j) {
+    lane.per_attribute[j]->AccumulateFrame(
+        {lane.rows.get() + row_offsets_[j],
+         row_offsets_[j + 1] - row_offsets_[j]});
+  }
+  return true;
+}
+
+bool MultidimCollector::IngestSmp(Lane& lane, const std::uint8_t* data,
+                                  std::size_t size) {
+  // The attribute index determines the tuple's width. Widths compare in
+  // 64-bit so absurdly large buffers reject cleanly instead of overflowing
+  // the bit count.
   if (data == nullptr ||
       size * 8ull < static_cast<unsigned long long>(attr_width_)) {
     return false;
   }
-  fo::BitCursor cursor{data};
-  const int attribute = static_cast<int>(cursor.Read(attr_width_));
+  const int attribute =
+      static_cast<int>(fo::BitCursor{data}.Read(attr_width_));
   if (attribute >= d() ||
-      !fo::ExactWireSize({data, size}, value_widths_[attribute])) {
+      !fo::ExactWireSize({data, size}, attr_width_ + field_bits_[attribute])) {
     return false;
   }
-  int offset = cursor.position;
-  if (!lane.decoders[attribute].DecodeField(data, &offset)) return false;
-  lane.decoders[attribute].AccumulateScratch(*lane.per_attribute[attribute]);
-  ++lane.n;
+  const std::span<const std::uint8_t> row =
+      FieldRow(lane, data, attr_width_, attribute);
+  if (!lane.decoders[attribute].Validate(row)) return false;
+  lane.per_attribute[attribute]->AccumulateFrame(row);
   return true;
 }
 
 bool MultidimCollector::IngestFd(Lane& lane, const std::uint8_t* data,
                                  std::size_t size) {
-  if (!fo::ExactWireSize({data, size}, fixed_tuple_bits_)) return false;
-  fo::BitCursor cursor{data};
-  if (!ue_variant_) {
-    for (int j = 0; j < d(); ++j) {
-      const int value = static_cast<int>(cursor.Read(value_widths_[j]));
-      if (value >= domain_sizes_[j]) return false;
-      lane.values_scratch[j] = value;
+  if (!fo::ExactWireSize({data, size}, tuple_bits())) return false;
+  long long* counts = lane.counts.get();
+  if (ue_variant_) {
+    // Every bit pattern is a valid UE tuple, and tuple bit c is the support
+    // bit of cell c.
+    for (int c = 0; c < tuple_bits(); ++c) {
+      counts[c] += (data[c >> 3] >> (7 - (c & 7))) & 1;
     }
-    for (int j = 0; j < d(); ++j) ++lane.counts[j][lane.values_scratch[j]];
-  } else {
-    // Every bit pattern is a valid UE tuple; fold the set bits directly
-    // into the support-count matrix.
-    for (int j = 0; j < d(); ++j) {
-      std::vector<long long>& column = lane.counts[j];
-      for (int v = 0; v < domain_sizes_[j]; ++v) {
-        column[v] += static_cast<long long>(cursor.Read(1));
-      }
-    }
+    return true;
   }
-  ++lane.n;
+  // GRR values: word-wide extraction from a padded copy of the tuple.
+  std::uint8_t* tuple = lane.rows.get();
+  std::memcpy(tuple, data, size);
+  for (int j = 0; j < d(); ++j) {
+    const int value = static_cast<int>(
+        fo::bitslice::ExtractBits(tuple, field_offsets_[j], field_bits_[j]));
+    if (value >= domain_sizes_[j]) {
+      // All-or-nothing: take back the columns this tuple already counted.
+      for (int i = 0; i < j; ++i) {
+        --counts[columns_[i] + static_cast<int>(fo::bitslice::ExtractBits(
+                                   tuple, field_offsets_[i], field_bits_[i]))];
+      }
+      return false;
+    }
+    ++counts[columns_[j] + value];
+  }
   return true;
 }
 
@@ -182,22 +311,15 @@ MultidimSnapshot MultidimCollector::Seal() {
   if (kind_ == Kind::kSpl || kind_ == Kind::kSmp) {
     std::vector<std::unique_ptr<fo::Aggregator>> merged;
     merged.reserve(d());
-    for (int j = 0; j < d(); ++j) {
-      const fo::FrequencyOracle& oracle =
-          kind_ == Kind::kSpl ? spl_->oracle(j) : smp_->oracle(j);
-      merged.push_back(oracle.MakeAggregator());
-    }
+    for (int j = 0; j < d(); ++j) merged.push_back(oracle(j).MakeAggregator());
     for (auto& lane_ptr : lanes_) {
       Lane& lane = *lane_ptr;
       std::lock_guard<std::mutex> guard(lane.mutex);
       for (int j = 0; j < d(); ++j) {
         merged[j]->Merge(*lane.per_attribute[j]);
-        const fo::FrequencyOracle& oracle =
-            kind_ == Kind::kSpl ? spl_->oracle(j) : smp_->oracle(j);
-        lane.per_attribute[j] = oracle.MakeAggregator();
+        lane.per_attribute[j] = oracle(j).MakeAggregator();
       }
-      snapshot.n += lane.n;
-      lane.n = 0;
+      snapshot.n += lane.tallies.reports;
       tallies.Merge(lane.tallies);
       lane.tallies = IngestCounters{};
     }
@@ -226,12 +348,13 @@ MultidimSnapshot MultidimCollector::Seal() {
       std::lock_guard<std::mutex> guard(lane.mutex);
       for (int j = 0; j < d(); ++j) {
         for (int v = 0; v < domain_sizes_[j]; ++v) {
-          counts[j][v] += lane.counts[j][v];
+          counts[j][v] += lane.counts[columns_[j] + v];
         }
-        lane.counts[j].assign(domain_sizes_[j], 0);
       }
-      snapshot.n += lane.n;
-      lane.n = 0;
+      std::memset(lane.counts.get(), 0,
+                  static_cast<std::size_t>(columns_.back()) *
+                      sizeof(long long));
+      snapshot.n += lane.tallies.reports;
       tallies.Merge(lane.tallies);
       lane.tallies = IngestCounters{};
     }

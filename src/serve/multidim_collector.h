@@ -3,22 +3,26 @@
 
 // Multidimensional front-end of the collection service: routes wire-encoded
 // SPL / SMP / RS+FD / RS+RFD tuples (serve/multidim_wire formats) into
-// lock-striped per-attribute lanes.
+// lock-striped lanes that follow the scalar Collector's rules: each lane is
+// cache-line isolated, holds per-attribute state for every attribute, and
+// takes its mutex once per run of same-lane requests in IngestAll.
 //
-// Per lane, SPL and SMP decode through one fo::WireDecoder per attribute
-// into per-attribute fo::Aggregators (SMP feeds only the sampled
-// attribute's); the fake-data solutions accumulate straight into a
-// support-count matrix — the same counts their StreamAggregators keep — so
-// sealing estimates via RsFd/RsRfd::EstimateFromSupportCounts. Ingest is
-// all-or-nothing: every attribute field of a tuple is validated before any
-// aggregator is touched, and a malformed tuple is rejected without side
-// effects. As with the scalar Collector, sealed results depend only on the
-// multiset of accepted tuples, never on lane assignment or thread count.
+// Per lane, SPL and SMP shift each attribute's field into a byte-aligned,
+// zero-padded row, check it with that attribute's fo::WireDecoder::Validate
+// and stage it into the attribute's fo::Aggregator (AccumulateFrame), whose
+// bitsliced AccumulateWireBlock kernel decodes it (SMP feeds only the
+// sampled attribute's). The fake-data solutions accumulate straight into a
+// flat support-count matrix — the same counts their StreamAggregators keep
+// — so sealing estimates via RsFd/RsRfd::EstimateFromSupportCounts. Ingest
+// is all-or-nothing: a malformed tuple is rejected without side effects
+// (SPL validates every attribute's row before staging any). As with the
+// scalar Collector, sealed results depend only on the multiset of accepted
+// tuples, never on lane assignment, chunking or thread count.
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
+#include <span>
 #include <vector>
 
 #include "serve/collector.h"
@@ -65,6 +69,13 @@ class MultidimCollector final : public IngestSink {
   /// yet, so request.user is accepted unclassified.
   IngestResult Ingest(const IngestRequest& request) override;
 
+  /// Ingests every request of `source`, taking a lane mutex once per run of
+  /// consecutive requests that map to the same lane; each request gets the
+  /// result Ingest would give it. source.Next and source.Done run under that
+  /// mutex (lock order in serve/ingest.h), so a Seal racing the source waits
+  /// for the run in progress to end.
+  void IngestAll(IngestSource& source) override;
+
   /// Merges every lane, estimates per-attribute frequencies, freezes the
   /// ingest stats and resets the lanes for the next epoch. O(lanes * sum k_j)
   /// regardless of the number of tuples ingested.
@@ -81,9 +92,23 @@ class MultidimCollector final : public IngestSink {
 
   MultidimCollector(Kind kind, std::vector<int> domain_sizes,
                     const CollectorOptions& options);
-  void InitLanes(int lanes);
-  bool IngestSplSmp(Lane& lane, const std::uint8_t* data, std::size_t size);
+  /// SPL/SMP: attribute j's oracle.
+  const fo::FrequencyOracle& oracle(int j) const;
+  /// Lays out the fields, rows and columns, then builds the lanes.
+  void Init(int lanes);
+  int tuple_bits() const { return field_offsets_.back(); }
+  Lane& LaneFor(int hint) const;
+  /// The one validate -> accumulate body behind Ingest and IngestAll.
+  /// Caller holds the lane mutex.
+  IngestResult IngestLocked(Lane& lane, std::span<const std::uint8_t> frame);
+  bool IngestSpl(Lane& lane, const std::uint8_t* data, std::size_t size);
+  bool IngestSmp(Lane& lane, const std::uint8_t* data, std::size_t size);
   bool IngestFd(Lane& lane, const std::uint8_t* data, std::size_t size);
+  /// Shifts attribute j's field, starting at bit `bit_offset` of `data`,
+  /// into the lane's row j and returns the row: the field's standalone
+  /// serializer image whenever the field is valid.
+  std::span<const std::uint8_t> FieldRow(Lane& lane, const std::uint8_t* data,
+                                         int bit_offset, int j) const;
   /// Builds the eps report for `n` tuples with `attr_n[j]` surveys charged
   /// to attribute j (SPL/SMP; FD kinds use the expected-exposure closed
   /// form and ignore attr_n).
@@ -99,10 +124,17 @@ class MultidimCollector final : public IngestSink {
   std::vector<int> domain_sizes_;
   bool ue_variant_ = false;         ///< FD kinds: unary-encoded payloads
   int attr_width_ = 0;              ///< SMP attribute-index width
-  int fixed_tuple_bits_ = 0;        ///< SPL / FD: the whole tuple's width
-  /// FD: per-attribute value widths (GRR payloads); SMP: per-attribute
-  /// whole-tuple widths (index + report).
-  std::vector<int> value_widths_;
+  /// Per-attribute field widths: the report (fo::SerializedReportBits) for
+  /// SPL/SMP, the GRR value or the k_j-bit vector for the FD kinds.
+  std::vector<int> field_bits_;
+  /// SPL / FD: bit offset of each attribute's field in the tuple; back() is
+  /// the whole tuple's width.
+  std::vector<int> field_offsets_;
+  /// FD: first cell of each attribute's column in a lane's flat count
+  /// array; back() is the number of cells.
+  std::vector<int> columns_;
+  /// Byte offset of each attribute's row in a lane's row buffer.
+  std::vector<std::size_t> row_offsets_;
   std::vector<std::unique_ptr<Lane>> lanes_;
   long long next_epoch_ = 0;
   double opened_at_ = 0.0;

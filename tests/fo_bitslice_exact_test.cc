@@ -235,6 +235,56 @@ TEST_P(BitsliceExactTest, StagedMergeAtNonBlockBoundariesMatchesScalar) {
   }
 }
 
+// Aggregator::AccumulateFrame (the serve layer's stage-one-frame entry)
+// must be invisible too: random Validate-accepted frames — randomized
+// reports interleaved with random byte patterns the validator accepts —
+// staged one by one give the same counts()/n() as WireDecoder::DecodeInto on
+// the same frames, with counts() and Merge reads landing mid-block so the
+// flushes fall at arbitrary points of the stream.
+TEST_P(BitsliceExactTest, AccumulateFrameMatchesDecodeInto) {
+  auto oracle = MakeOracle(protocol(), k(), kEpsilon);
+  WireDecoder decoder(*oracle);
+  const auto reports = MakeFrames(*oracle, kUsers, kSeed ^ 0xF4A3E);
+  Rng rng(kSeed ^ 0xACC);
+  std::vector<std::vector<std::uint8_t>> frames;
+  for (const auto& report : reports) {
+    frames.push_back(report);
+    for (int attempt = 0; attempt < 4; ++attempt) {
+      std::vector<std::uint8_t> buf(decoder.report_bytes());
+      for (auto& b : buf) b = static_cast<std::uint8_t>(rng() & 0xFF);
+      if (decoder.Validate(buf)) frames.push_back(std::move(buf));
+    }
+  }
+  if (frames.size() % bitslice::kBlockRows == 0) frames.pop_back();
+
+  auto staged = oracle->MakeAggregator();
+  auto reference = oracle->MakeAggregator();
+  const int total = static_cast<int>(frames.size());
+  const std::vector<int> probes = {1, 77, bitslice::kBlockRows,
+                                   bitslice::kBlockRows + 1, 233, 300, 301};
+  for (int i = 0; i < total; ++i) {
+    staged->AccumulateFrame(frames[i]);
+    ASSERT_TRUE(decoder.DecodeInto(frames[i], *reference));
+    if (std::find(probes.begin(), probes.end(), i + 1) == probes.end()) {
+      continue;
+    }
+    // Alternate the read that flushes: counts() on the staged aggregator
+    // itself, or a Merge of it into a fresh one.
+    if (i % 2 == 0) {
+      ASSERT_EQ(staged->counts(), reference->counts()) << "after " << i + 1;
+      ASSERT_EQ(staged->n(), i + 1);
+    } else {
+      auto merged = oracle->MakeAggregator();
+      merged->Merge(*staged);
+      ASSERT_EQ(merged->counts(), reference->counts()) << "after " << i + 1;
+      ASSERT_EQ(merged->n(), i + 1);
+    }
+  }
+  EXPECT_EQ(staged->counts(), reference->counts());
+  EXPECT_EQ(staged->n(), total);
+  EXPECT_EQ(staged->Estimate(), reference->Estimate());
+}
+
 std::string ParamName(
     const ::testing::TestParamInfo<std::tuple<Protocol, int>>& info) {
   return std::string(ProtocolName(std::get<0>(info.param))) + "_k" +

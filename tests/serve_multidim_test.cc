@@ -4,7 +4,11 @@
 // on malformed tuples, and the wire formats must match the priced tuple
 // widths (fo/comm_cost).
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -241,6 +245,192 @@ TEST(ServeMultidimTest, SmpOutOfRangeAttributeRejected) {
   const MultidimSnapshot snapshot = collector.Seal();
   EXPECT_EQ(snapshot.n, 1);
   EXPECT_EQ(snapshot.stats.rejected, 1);
+}
+
+// ---- Chunked and concurrent ingest (IngestAll / IngestFrames) ----
+
+using CollectorFactory =
+    std::function<std::unique_ptr<MultidimCollector>(int lanes)>;
+
+template <typename Solution>
+CollectorFactory FactoryFor(const Solution& solution) {
+  return [&solution](int lanes) {
+    return std::make_unique<MultidimCollector>(
+        solution, CollectorOptions{.lanes = lanes});
+  };
+}
+
+/// Runs `check(name, make, frames)` for SPL and SMP over all five
+/// protocols, RS+FD over its five variants and RS+RFD over its three, each
+/// with its loadgen frames of `ds`.
+void ForEachSolution(
+    const data::Dataset& ds,
+    const std::function<void(const std::string&, const CollectorFactory&,
+                             const EncodedFrames&)>& check) {
+  const double eps = 2.0;
+  Rng root(41);
+  for (fo::Protocol protocol : fo::AllProtocols()) {
+    const std::string name = fo::ProtocolName(protocol);
+    multidim::Spl spl(protocol, ds.domain_sizes(), eps);
+    check("SPL/" + name, FactoryFor(spl), EncodeSplLoad(spl, ds, root));
+    multidim::Smp smp(protocol, ds.domain_sizes(), eps);
+    check("SMP/" + name, FactoryFor(smp), EncodeSmpLoad(smp, ds, root));
+  }
+  for (multidim::RsFdVariant variant :
+       {multidim::RsFdVariant::kGrr, multidim::RsFdVariant::kSueZ,
+        multidim::RsFdVariant::kSueR, multidim::RsFdVariant::kOueZ,
+        multidim::RsFdVariant::kOueR}) {
+    multidim::RsFd rsfd(variant, ds.domain_sizes(), eps);
+    check(std::string("RS+FD/") + multidim::RsFdVariantName(variant),
+          FactoryFor(rsfd), EncodeRsFdLoad(rsfd, ds, root));
+  }
+  Rng prior_rng(9);
+  const auto priors =
+      data::BuildPriors(ds, data::PriorKind::kCorrectLaplace, prior_rng);
+  for (multidim::RsRfdVariant variant :
+       {multidim::RsRfdVariant::kGrr, multidim::RsRfdVariant::kSueR,
+        multidim::RsRfdVariant::kOueR}) {
+    multidim::RsRfd rsrfd(variant, ds.domain_sizes(), eps, priors);
+    check(std::string("RS+RFD/") + multidim::RsRfdVariantName(variant),
+          FactoryFor(rsrfd), EncodeRsRfdLoad(rsrfd, ds, root));
+  }
+}
+
+void ExpectSameSnapshot(const MultidimSnapshot& a, const MultidimSnapshot& b) {
+  EXPECT_EQ(a.epoch, b.epoch);
+  EXPECT_EQ(a.n, b.n);
+  EXPECT_EQ(a.estimates, b.estimates);  // exact, element by element
+  EXPECT_EQ(a.stats.reports, b.stats.reports);
+  EXPECT_EQ(a.stats.bytes, b.stats.bytes);
+  EXPECT_EQ(a.stats.rejected, b.stats.rejected);
+  EXPECT_EQ(a.ledger.total_epsilon, b.ledger.total_epsilon);
+  EXPECT_EQ(a.ledger.per_attribute, b.ledger.per_attribute);
+  EXPECT_EQ(a.cumulative_ledger.per_attribute,
+            b.cumulative_ledger.per_attribute);
+}
+
+// Three producers on three lanes (IngestFrames: each producer pulls its
+// shard through IngestAll in 4096-frame chunks, two chunks each at this n)
+// seal bit-identical to one lane fed by per-record Ingest, epoch after
+// epoch.
+TEST(ServeMultidimTest, ConcurrentIngestFramesMatchesOneLanePerRecordIngest) {
+  const data::Dataset ds = data::NurseryLike(11);  // n = 12959
+  ForEachSolution(ds, [](const std::string& name,
+                         const CollectorFactory& make,
+                         const EncodedFrames& frames) {
+    SCOPED_TRACE(name);
+    const auto concurrent = make(3);
+    const auto reference = make(1);
+    for (int epoch = 0; epoch < 3; ++epoch) {
+      SCOPED_TRACE(epoch);
+      EXPECT_EQ(IngestFrames(*concurrent, frames, 3), frames.count());
+      for (long long i = 0; i < frames.count(); ++i) {
+        ASSERT_TRUE(
+            reference->Ingest({{frames.frame(i), frames.frame_size(i)}})
+                .accepted);
+      }
+      const MultidimSnapshot got = concurrent->Seal();
+      EXPECT_EQ(got.n, frames.count());
+      ExpectSameSnapshot(got, reference->Seal());
+    }
+  });
+}
+
+// A source over a fixed request list, recording every verdict in order.
+class ListSource final : public IngestSource {
+ public:
+  explicit ListSource(const std::vector<IngestRequest>& requests)
+      : requests_(requests) {}
+  bool Next(IngestRequest& request) override {
+    if (next_ == requests_.size()) return false;
+    request = requests_[next_++];
+    return true;
+  }
+  void Done(const IngestRequest&, IngestResult result) override {
+    results.push_back(result);
+  }
+  std::vector<IngestResult> results;
+
+ private:
+  const std::vector<IngestRequest>& requests_;
+  std::size_t next_ = 0;
+};
+
+// Good tuples interleaved with malformed ones: too long, too short, a
+// flipped final bit (nonzero padding where the tuple has any), all-ones
+// index bits (SMP attribute >= d at d = 9), all-ones fields (GRR values
+// >= k_j where k_j is not a power of two) and all-ones top bits of the last
+// byte (a late field out of range, after earlier fields were read). Under
+// lane hints that change mid-source, IngestAll gives every request Ingest's
+// verdict, in order, and both seal the same epoch as a collector fed only
+// the accepted tuples.
+TEST(ServeMultidimTest, IngestAllMatchesPerRecordIngestOnMalformedMix) {
+  ForEachSolution(TestDataset(), [](const std::string& name,
+                                    const CollectorFactory& make,
+                                    const EncodedFrames& frames) {
+    SCOPED_TRACE(name);
+    std::vector<std::vector<std::uint8_t>> buffers;
+    for (long long i = 0; i < frames.count(); ++i) {
+      const std::vector<std::uint8_t> good(
+          frames.frame(i), frames.frame(i) + frames.frame_size(i));
+      std::vector<std::uint8_t> bad = good;
+      switch (i % 6) {
+        case 0:
+          bad.push_back(0);
+          break;
+        case 1:
+          bad.pop_back();
+          break;
+        case 2:
+          bad.back() ^= 1;
+          break;
+        case 3:
+          bad[0] |= 0xF0;
+          break;
+        case 4:
+          std::fill(bad.begin(), bad.end() - 1, 0xFF);
+          break;
+        case 5:
+          bad.back() |= 0xE0;
+          break;
+      }
+      buffers.push_back(good);
+      buffers.push_back(std::move(bad));
+    }
+    const int hints[] = {0, 0, 3, 1, 1, 4, 2, 0, 3, 3, 5};
+    std::vector<IngestRequest> requests;
+    for (std::size_t i = 0; i < buffers.size(); ++i) {
+      requests.push_back({buffers[i], std::nullopt, hints[i % 11]});
+    }
+    const auto pulled = make(3);
+    const auto pushed = make(3);
+    ListSource source(requests);
+    pulled->IngestAll(source);
+    ASSERT_EQ(source.results.size(), requests.size());
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      const IngestResult expected = pushed->Ingest(requests[i]);
+      EXPECT_EQ(source.results[i].accepted, expected.accepted) << i;
+      EXPECT_EQ(source.results[i].reason, expected.reason) << i;
+      if (i % 2 == 1 && (i / 2) % 6 <= 1) {
+        EXPECT_FALSE(expected.accepted) << "wrong-size tuple " << i;
+      }
+    }
+    // All-or-nothing: the rejected tuples left nothing behind, so the
+    // epoch equals one fed only the accepted tuples.
+    const auto accepted_only = make(1);
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      if (source.results[i].accepted) accepted_only->Ingest(requests[i]);
+    }
+    const MultidimSnapshot a = pulled->Seal();
+    const MultidimSnapshot b = pushed->Seal();
+    const MultidimSnapshot clean = accepted_only->Seal();
+    EXPECT_GT(a.stats.rejected, 0);
+    EXPECT_EQ(a.n + a.stats.rejected,
+              static_cast<long long>(requests.size()));
+    ExpectSameSnapshot(a, b);
+    EXPECT_EQ(a.n, clean.n);
+    EXPECT_EQ(a.estimates, clean.estimates);
+  });
 }
 
 }  // namespace
