@@ -1,10 +1,8 @@
 #include "exp/experiment.h"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "core/check.h"
-#include "core/flags.h"
 
 namespace ldpr::exp {
 
@@ -102,42 +100,6 @@ void RunExperiment(const ExperimentSpec& spec, Emitter& out,
   Context ctx(out, profile);
   spec.run(ctx);
   out.Finish();
-}
-
-int RunExperimentMain(const std::string& name) {
-  const ExperimentSpec* spec = Registry::Instance().Find(name);
-  if (spec == nullptr) {
-    std::fprintf(stderr, "unknown experiment '%s'\n", name.c_str());
-    return 1;
-  }
-  const RunProfile profile = RunProfile::Resolve();
-  CsvEmitter csv;
-  TeeEmitter tee;
-  tee.Add(&csv);
-
-  const std::string json_path = GetEnvString("LDPR_JSON_OUT", "");
-  std::string json;
-  JsonEmitter json_emitter(&json, spec->name);
-  if (!json_path.empty()) tee.Add(&json_emitter);
-
-  try {
-    RunExperiment(*spec, tee, profile);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  }
-
-  if (!json_path.empty()) {
-    std::FILE* f = std::fopen(json_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fputc('\n', f);
-    std::fclose(f);
-  }
-  return 0;
 }
 
 }  // namespace ldpr::exp

@@ -93,12 +93,6 @@ bool GlobMatch(const std::string& pattern, const std::string& text);
 void RunExperiment(const ExperimentSpec& spec, Emitter& out,
                    const RunProfile& profile);
 
-/// Entry point of the thin bench driver binaries: looks up `name`, builds a
-/// FromEnv profile (Smoke when LDPR_SMOKE is set), writes CSV to stdout and
-/// — when LDPR_JSON_OUT names a file — a JSON document alongside. Returns a
-/// process exit code.
-int RunExperimentMain(const std::string& name);
-
 }  // namespace ldpr::exp
 
 #endif  // LDPR_EXP_EXPERIMENT_H_

@@ -1,8 +1,10 @@
 #include "fo/frequency_oracle.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "core/check.h"
+#include "core/stats.h"
 #include "fo/bitslice.h"
 #include "fo/wire.h"
 
@@ -93,26 +95,11 @@ void Aggregator::Accumulate(const Report& report) {
   ++n_;
 }
 
-std::uint8_t* Aggregator::StageRowSlot(std::size_t stride) {
-  if (staging_.empty()) {
-    staging_stride_ = stride;
-    staging_.assign(
-        static_cast<std::size_t>(bitslice::kBlockRows) * stride +
-            bitslice::kRowTailSlack,
-        0);
-  }
-  return staging_.data() +
-         static_cast<std::size_t>(staged_rows_) * staging_stride_;
-}
-
-void Aggregator::CommitStagedRow() {
-  if (++staged_rows_ == bitslice::kBlockRows) FlushStaged();
-}
-
-void Aggregator::AccumulateFrame(std::span<const std::uint8_t> frame) {
-  std::memcpy(StageRowSlot(bitslice::RowStride(frame.size())), frame.data(),
-              frame.size());
-  CommitStagedRow();
+void Aggregator::AllocateStaging(std::size_t stride) {
+  staging_stride_ = stride;
+  staging_.assign(static_cast<std::size_t>(bitslice::kBlockRows) * stride +
+                      bitslice::kRowTailSlack,
+                  0);
 }
 
 void Aggregator::FlushStaged() const {
@@ -122,8 +109,10 @@ void Aggregator::FlushStaged() const {
   Aggregator* self = const_cast<Aggregator*>(this);
   const int rows = self->staged_rows_;
   self->staged_rows_ = 0;
+  const double start = decode_observer_ ? MonotonicSeconds() : 0.0;
   self->AccumulateWireBlock(self->staging_.data(), self->staging_stride_,
                             rows);
+  if (decode_observer_) decode_observer_(rows, MonotonicSeconds() - start);
 }
 
 void Aggregator::AccumulateValue(int value, Rng& rng) {
@@ -200,6 +189,14 @@ void Aggregator::Merge(const Aggregator& other) {
     counts_[v] += other.counts_[v];
   }
   n_ += other.n_;
+}
+
+void Aggregator::Reset() {
+  std::fill(counts_.begin(), counts_.end(), 0);
+  n_ = 0;
+  // The staged rows are dropped undecoded; their row padding is still zero
+  // (every staged frame of one aggregator has the same size).
+  staged_rows_ = 0;
 }
 
 std::vector<double> Aggregator::Estimate() const {

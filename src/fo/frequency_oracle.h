@@ -2,13 +2,16 @@
 #define LDPR_FO_FREQUENCY_ORACLE_H_
 
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/rng.h"
+#include "fo/bitslice.h"
 #include "fo/consistency.h"
 
 namespace ldpr::fo {
@@ -193,7 +196,8 @@ class Aggregator {
   /// (WireDecoder::Validate-accepted) and the caller must guarantee
   ///   - stride >= bitslice::RowStride(frame size) with zero padding bytes,
   ///   - bitslice::kRowTailSlack readable bytes after the last row
-  /// (serve::Collector's staging buffers are laid out exactly like this).
+  /// (the staging block behind AccumulateFrame is laid out exactly like
+  /// this).
   /// Produces bit-identical counts()/n() to `count` scalar
   /// WireDecoder::DecodeInto calls — the base implementation *is* that
   /// scalar loop, and protocol overrides (UE bit-column slicing, batched
@@ -210,10 +214,21 @@ class Aggregator {
   /// (WireDecoder::Validate-accepted), the same size on every call. Same
   /// counts()/n() as WireDecoder::DecodeInto on the frame (pinned by
   /// fo_bitslice_exact_test).
-  void AccumulateFrame(std::span<const std::uint8_t> frame);
+  void AccumulateFrame(std::span<const std::uint8_t> frame) {
+    std::memcpy(StageRowSlot(bitslice::RowStride(frame.size())), frame.data(),
+                frame.size());
+    CommitStagedRow();
+  }
 
   /// Folds another aggregator of the same protocol/domain into this one.
   void Merge(const Aggregator& other);
+
+  /// Empties the aggregator: counts(), n() and the staged rows go back to
+  /// zero, as in a fresh aggregator, while the staging block, protocol
+  /// scratch (e.g. OLH's per-value hash halves) and the decode observer are
+  /// kept. Results after Reset are bit-identical to a fresh MakeAggregator()
+  /// fed the same stream (fo_bitslice_exact_test).
+  void Reset();
 
   /// Unbiased Eq. (2) estimate over everything accumulated so far.
   std::vector<double> Estimate() const;
@@ -231,15 +246,31 @@ class Aggregator {
     return n_;
   }
   const FrequencyOracle& oracle() const { return oracle_; }
+  /// Rows staged and not yet decoded; the next read of the state decodes
+  /// them, and so does the AccumulateFrame/Accumulate that fills the block.
+  int staged() const { return staged_rows_; }
+
+  /// Called once per staged-block decode, with the rows decoded and the
+  /// seconds the decode took: each full block and each partial block a read
+  /// drains. Unset (the default), staging does no timing at all.
+  void ObserveDecodes(std::function<void(int rows, double seconds)> observer) {
+    decode_observer_ = std::move(observer);
+  }
 
  protected:
   /// Lazily allocates the report-side staging block (bitslice::kBlockRows
   /// rows of `stride` bytes plus tail slack, zeroed) and returns the next
   /// free row for a staged Accumulate override to pack a wire image into.
-  std::uint8_t* StageRowSlot(std::size_t stride);
+  std::uint8_t* StageRowSlot(std::size_t stride) {
+    if (staging_.empty()) AllocateStaging(stride);
+    return staging_.data() +
+           static_cast<std::size_t>(staged_rows_) * staging_stride_;
+  }
   /// Commits the row returned by StageRowSlot; flushes the block through
   /// AccumulateWireBlock when it fills.
-  void CommitStagedRow();
+  void CommitStagedRow() {
+    if (++staged_rows_ == bitslice::kBlockRows) FlushStaged();
+  }
   /// Drains staged rows into counts_/n_. Const because staging is a deferred
   /// materialization of reports already Accumulated — the logical state (the
   /// multiset of accumulated reports) does not change, only where it lives.
@@ -250,9 +281,12 @@ class Aggregator {
   long long n_ = 0;
 
  private:
+  void AllocateStaging(std::size_t stride);
+
   std::vector<std::uint8_t> staging_;  ///< wire rows, see StageRowSlot
   std::size_t staging_stride_ = 0;
   int staged_rows_ = 0;
+  std::function<void(int rows, double seconds)> decode_observer_;
 };
 
 }  // namespace ldpr::fo

@@ -6,19 +6,20 @@
 // The paper's deployment surface is a server continuously receiving
 // wire-encoded sanitized reports from millions of users. A Collector models
 // exactly that for one attribute: producers push raw report buffers into
-// lock-striped lanes, each lane owning its own fo::Aggregator,
-// fo::WireDecoder scratch and IngestCounters, so concurrent producers that
-// shard themselves over lanes never contend. Sealing an epoch merges the
-// lane aggregators (O(lanes * k), constant in the number of reports) into an
-// immutable EstimateSnapshot.
+// lock-striped lanes (serve/lanes.h), each lane owning its own
+// fo::Aggregator, fo::WireDecoder scratch and IngestCounters, so concurrent
+// producers that shard themselves over lanes never contend. Sealing an epoch
+// merges the lane aggregators (O(lanes * k), constant in the number of
+// reports) into an immutable EstimateSnapshot.
 //
 // Ingest is staged, not scalar: each lane validates an incoming buffer
-// (fo::WireDecoder::Validate — same accept set as the scalar decoder),
-// copies it into a fixed staging block of bitslice::kBlockRows padded rows,
-// and defers all decode work to fo::Aggregator::AccumulateWireBlock, which
-// the lane flushes when the block fills and again at Drain() (flush-on-seal)
-// — so a sealed epoch always covers every accepted report, wherever the
-// block boundary fell.
+// (fo::WireDecoder::Validate — same accept set as the scalar decoder) and
+// hands it to its aggregator's fo::Aggregator::AccumulateFrame, which copies
+// it into the aggregator's staging block of bitslice::kBlockRows padded rows
+// and defers all decode work to the protocol's AccumulateWireBlock kernel:
+// once when the block fills and once more at Drain() for the partial block
+// (flush-on-seal) — so a sealed epoch always covers every accepted report,
+// wherever the block boundary fell.
 //
 // Determinism: block kernels are pinned bit-identical to the scalar decode
 // path (fo_bitslice_exact_test) and merged support counts are integer sums,
@@ -30,7 +31,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -43,6 +43,7 @@
 #include "obs/metrics.h"
 #include "privacy/accountant.h"
 #include "serve/ingest.h"
+#include "serve/lanes.h"
 
 namespace ldpr::serve {
 
@@ -58,24 +59,24 @@ struct CollectorOptions {
   /// When set, the collector exports its lane tallies as
   /// `ldpr_ingest_*` counters via a scrape callback — the per-report fast
   /// path is untouched; the tallies it already maintains ARE the sharded
-  /// cells — and records per-flush decode-block latency/occupancy
-  /// histograms (one sample per kBlockRows flush, never per report).
+  /// cells — and records decode-block latency/occupancy histograms (one
+  /// sample per block decode: each full kBlockRows block and each partial
+  /// block decoded at seal, never per report).
   obs::MetricsRegistry* metrics = nullptr;
 };
 
-/// Per-epoch ingest statistics, frozen into the snapshot at seal time.
-struct IngestStats {
-  long long reports = 0;   ///< accepted (decoded + accumulated) reports
-  long long bytes = 0;     ///< wire bytes of the accepted reports
-  long long rejected = 0;  ///< malformed buffers cleanly rejected
-  /// Admission-control rejects by reason (zero on surfaces without that
-  /// admission stage; see serve::RejectReason).
-  long long duplicates = 0;    ///< (user, epoch) already delivered a report
-  long long rate_limited = 0;  ///< per-user token bucket empty
-  long long shed = 0;          ///< dropped by overload shedding
-  long long closed_epoch = 0;  ///< arrived with no epoch open
-  double seconds = 0.0;    ///< epoch open -> seal wall time
+/// Per-epoch ingest statistics, frozen into the snapshot at seal time: the
+/// epoch's drained lane tallies (admission-control rejects stay zero on
+/// surfaces without that stage) plus its wall time.
+struct IngestStats : IngestCounters {
+  double seconds = 0.0;             ///< epoch open -> seal wall time
   double reports_per_second = 0.0;  ///< reports / seconds (0 if degenerate)
+
+  static IngestStats From(const IngestCounters& tallies, double seconds) {
+    return {tallies, seconds,
+            seconds > 0.0 ? static_cast<double>(tallies.reports) / seconds
+                          : 0.0};
+  }
 };
 
 /// Immutable estimate of one sealed epoch.
@@ -95,6 +96,11 @@ struct EstimateSnapshot {
   privacy::LedgerReport cumulative_ledger;
 };
 
+/// The bare collector's gate: no admission rule beyond validation.
+inline constexpr auto kAdmitAll = [](const IngestRequest&) {
+  return RejectReason::kNone;
+};
+
 /// Lock-striped ingest state for one frequency oracle. The oracle must
 /// outlive the collector.
 class Collector final : public IngestSink {
@@ -108,7 +114,9 @@ class Collector final : public IngestSink {
   /// use distinct lanes never contend. A malformed frame comes back
   /// kMalformed (counted, nothing accumulated); the bare Collector imposes
   /// no other admission rule, so request.user is accepted unclassified.
-  IngestResult Ingest(const IngestRequest& request) override;
+  IngestResult Ingest(const IngestRequest& request) override {
+    return IngestGated(request, kAdmitAll);
+  }
 
   /// Ingest with an admission gate: `gate(request)` runs under the lane
   /// mutex after frame validation and before staging, returning the
@@ -120,36 +128,25 @@ class Collector final : public IngestSink {
   /// (the mutex is held) and must order any locks of their own after it.
   template <typename Gate>
   IngestResult IngestGated(const IngestRequest& request, Gate&& gate) {
-    Lane& lane = LaneFor(request.lane);
-    std::lock_guard<std::mutex> guard(lane.mutex);
-    return IngestLocked(lane, request, gate);
+    return lanes_.Ingest(request, [&](Lane& lane, const IngestRequest& r) {
+      return IngestLocked(lane, r, gate);
+    });
   }
 
   /// Ingests every request of `source` (no gate). Same results as Ingest
   /// per request; see IngestAllGated.
-  void IngestAll(IngestSource& source) override;
+  void IngestAll(IngestSource& source) override {
+    IngestAllGated(source, kAdmitAll);
+  }
 
-  /// IngestGated over a whole source: the lane mutex is taken once per run
-  /// of consecutive requests that map to the same lane, and each request
-  /// runs the same validate -> gate -> stage body as IngestGated.
-  /// source.Next and source.Done run under that mutex (lock order in
-  /// serve/ingest.h), so a Drain racing the source waits for the run in
-  /// progress to end.
+  /// IngestGated over a whole source: LaneSet::IngestAll runs the same
+  /// validate -> gate -> stage body per request, one lane mutex per run of
+  /// same-lane requests, so a racing Drain waits for that run to end.
   template <typename Gate>
   void IngestAllGated(IngestSource& source, Gate&& gate) {
-    IngestRequest request;
-    bool more = source.Next(request);
-    while (more) {
-      const int hint = request.lane;
-      Lane& lane = LaneFor(hint);
-      std::lock_guard<std::mutex> guard(lane.mutex);
-      do {
-        source.Done(request, IngestLocked(lane, request, gate));
-        more = source.Next(request);
-        // Same hint, same lane: skips the modulo on the usual run.
-      } while (more &&
-               (request.lane == hint || &LaneFor(request.lane) == &lane));
-    }
+    lanes_.IngestAll(source, [&](Lane& lane, const IngestRequest& r) {
+      return IngestLocked(lane, r, gate);
+    });
   }
 
   /// Closed-form lane feed for the fast simulation profile: draws the
@@ -175,7 +172,7 @@ class Collector final : public IngestSink {
   /// snapshots' IngestCounters.
   IngestCounters TotalsNow() const;
 
-  int lanes() const { return static_cast<int>(lanes_.size()); }
+  int lanes() const { return lanes_.size(); }
   /// The exact buffer size Ingest accepts (WireDecoder::report_bytes).
   std::size_t report_bytes() const { return report_bytes_; }
   const fo::FrequencyOracle& oracle() const { return oracle_; }
@@ -186,40 +183,17 @@ class Collector final : public IngestSink {
   int staged(int lane) const;
 
  private:
-  /// Cache-line isolated (alignas pads sizeof to a 64-byte multiple too):
-  /// producers pinned to disjoint lanes touch disjoint lines, so the lane
-  /// mutexes and hot tallies/staged counters never false-share — without
-  /// this, adjacent heap-allocated lanes can land on one line and ingest
-  /// throughput stops scaling with producer threads.
-  struct alignas(64) Lane {
-    Lane(const fo::FrequencyOracle& oracle, std::size_t staging_bytes,
-         int index)
-        : aggregator(oracle.MakeAggregator()),
-          decoder(oracle),
-          staging(staging_bytes, 0),
-          index(index) {}
+  /// A lane's own state (serve::Lane adds the mutex and tallies).
+  struct LaneState {
+    explicit LaneState(const fo::FrequencyOracle& oracle)
+        : aggregator(oracle.MakeAggregator()), decoder(oracle) {}
 
-    mutable std::mutex mutex;
+    /// Stages and decodes the lane's frames; lives as long as the lane
+    /// (Drain resets it), so its staging block is allocated once.
     std::unique_ptr<fo::Aggregator> aggregator;
     fo::WireDecoder decoder;
-    IngestCounters tallies;
-    /// kBlockRows rows of stage_stride_ bytes plus kRowTailSlack; row
-    /// padding bytes stay zero for the life of the lane (accepted frames
-    /// all have the same exact size).
-    std::vector<std::uint8_t> staging;
-    int staged = 0;
-    /// Telemetry shard hint: flush histograms record on the lane's own
-    /// shard, so lanes never share a histogram cache line either.
-    const int index;
   };
-  static_assert(alignof(Lane) >= 64,
-                "lanes must start on their own cache line");
-  static_assert(sizeof(Lane) % 64 == 0,
-                "lane padding must cover whole cache lines");
-
-  Lane& LaneFor(int hint) const {
-    return *lanes_[static_cast<std::size_t>(hint) % lanes_.size()];
-  }
+  using Lane = serve::Lane<LaneState>;
 
   /// The one validate -> gate -> stage body behind IngestGated and
   /// IngestAllGated. Caller holds the lane mutex.
@@ -227,34 +201,20 @@ class Collector final : public IngestSink {
   IngestResult IngestLocked(Lane& lane, const IngestRequest& request,
                             Gate& gate) {
     if (!lane.decoder.Validate(request.frame)) {
-      ++lane.tallies.rejected;
-      return IngestResult::Rejected(RejectReason::kMalformed);
+      return lane.Reject(RejectReason::kMalformed);
     }
     const RejectReason verdict = gate(request);
-    if (verdict != RejectReason::kNone) {
-      CountReject(lane.tallies, verdict);
-      return IngestResult::Rejected(verdict);
-    }
-    // Stage the admitted frame; all decode work happens at flush
-    // (AccumulateWireBlock) when the block fills or the epoch seals.
-    std::memcpy(lane.staging.data() +
-                    static_cast<std::size_t>(lane.staged) * stage_stride_,
-                request.frame.data(), request.frame.size());
-    if (++lane.staged == fo::bitslice::kBlockRows) FlushLocked(lane);
-    ++lane.tallies.reports;
-    lane.tallies.bytes += static_cast<long long>(request.frame.size());
-    return IngestResult::Accepted();
+    if (verdict != RejectReason::kNone) return lane.Reject(verdict);
+    // Stage the admitted frame: the aggregator's block kernel decodes it
+    // when the block fills or the epoch seals.
+    lane.aggregator->AccumulateFrame(request.frame);
+    return lane.Accept(request.frame.size());
   }
-
-  /// Decodes the lane's staged rows into its aggregator. Caller holds the
-  /// lane mutex.
-  void FlushLocked(Lane& lane);
 
   const fo::FrequencyOracle& oracle_;
   CollectorOptions options_;
   std::size_t report_bytes_;
-  std::size_t stage_stride_;
-  std::vector<std::unique_ptr<Lane>> lanes_;
+  LaneSet<LaneState> lanes_;
 
   /// Tallies of every past Drain() (Drain resets the lanes, so lifetime
   /// totals have to accumulate somewhere for mid-run scrapes).

@@ -161,19 +161,9 @@ const EstimateSnapshot& LongitudinalCollector::Seal() {
         snapshot.frequencies, collector_.options().consistency,
         collector_.options().consistency_threshold);
   }
-  snapshot.stats.reports = drained.tallies.reports;
-  snapshot.stats.bytes = drained.tallies.bytes;
-  snapshot.stats.rejected = drained.tallies.rejected;
-  snapshot.stats.duplicates = drained.tallies.duplicates;
-  snapshot.stats.rate_limited = drained.tallies.rate_limited;
-  snapshot.stats.shed = drained.tallies.shed;
-  snapshot.stats.closed_epoch =
-      drained.tallies.closed_epoch +
+  drained.tallies.closed_epoch +=
       closed_epoch_rejects_.exchange(0, std::memory_order_relaxed);
-  snapshot.stats.seconds = seconds;
-  snapshot.stats.reports_per_second =
-      seconds > 0.0 ? static_cast<double>(drained.tallies.reports) / seconds
-                    : 0.0;
+  snapshot.stats = IngestStats::From(drained.tallies, seconds);
 
   // Ledger: replays recognized by the table are charged 0; everything else
   // accepted this epoch (classified fresh or ingested without a user id) is

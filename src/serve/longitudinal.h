@@ -141,9 +141,9 @@ class LongitudinalCollector final : public IngestSink {
   IngestResult Ingest(const IngestRequest& request) override;
 
   /// Ingest over a whole source, one lane mutex per run of same-lane
-  /// requests (Collector::IngestAllGated). The gate still runs per request,
-  /// so a racing Seal() waits for at most the run in progress, and each
-  /// frame is either in the sealing epoch or a kClosedEpoch reject.
+  /// requests (LaneSet::IngestAll). The gate still runs per request, so a
+  /// racing Seal() waits for at most the run in progress, and each frame
+  /// is either in the sealing epoch or a kClosedEpoch reject.
   void IngestAll(IngestSource& source) override;
 
   /// The table attributed requests are admitted and classified through;

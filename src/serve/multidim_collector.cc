@@ -3,11 +3,8 @@
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
-#include <mutex>
 #include <new>
 
-#include "core/check.h"
-#include "core/parallel.h"
 #include "fo/bitslice.h"
 #include "fo/wire.h"
 
@@ -61,14 +58,12 @@ void CopyField(const std::uint8_t* src, int offset, int bits,
 
 }  // namespace
 
-/// Cache-line isolated like Collector::Lane: producers pinned to disjoint
-/// lanes touch disjoint lines (the mutex, tallies and, through LineArray,
-/// the per-tuple rows and counts), so ingest scales with producer threads
-/// and does not depend on where the lanes happen to land in memory.
-struct alignas(64) MultidimCollector::Lane {
-  std::mutex mutex;
-  IngestCounters tallies;  ///< tallies.reports is the lane's accepted n
-  /// SPL/SMP: one aggregator + wire decoder per attribute.
+/// A lane's own state (serve::Lane adds the mutex and tallies, whose
+/// reports are the lane's accepted n). The per-tuple rows and counts sit on
+/// cache lines of their own too (LineArray).
+struct MultidimCollector::LaneState {
+  /// SPL/SMP: one aggregator + wire decoder per attribute; each aggregator
+  /// lives as long as its lane (Seal resets it).
   std::vector<std::unique_ptr<fo::Aggregator>> per_attribute;
   std::vector<fo::WireDecoder> decoders;
   /// SPL/SMP: each attribute's field row (row_offsets_ layout); FD: the
@@ -81,24 +76,22 @@ struct alignas(64) MultidimCollector::Lane {
 };
 MultidimCollector::~MultidimCollector() = default;
 
-MultidimCollector::MultidimCollector(Kind kind, std::vector<int> domain_sizes,
-                                     const CollectorOptions& options)
-    : kind_(kind), domain_sizes_(std::move(domain_sizes)) {
-  (void)options;
-  opened_at_ = MonotonicSeconds();
-  cumulative_attr_n_.assign(domain_sizes_.size(), 0);
-}
+MultidimCollector::MultidimCollector(Kind kind, std::vector<int> domain_sizes)
+    : kind_(kind),
+      domain_sizes_(std::move(domain_sizes)),
+      opened_at_(MonotonicSeconds()),
+      cumulative_attr_n_(domain_sizes_.size(), 0) {}
 
 MultidimCollector::MultidimCollector(const multidim::Spl& spl,
                                      const CollectorOptions& options)
-    : MultidimCollector(Kind::kSpl, spl.domain_sizes(), options) {
+    : MultidimCollector(Kind::kSpl, spl.domain_sizes()) {
   spl_ = &spl;
   Init(options.lanes);
 }
 
 MultidimCollector::MultidimCollector(const multidim::Smp& smp,
                                      const CollectorOptions& options)
-    : MultidimCollector(Kind::kSmp, smp.domain_sizes(), options) {
+    : MultidimCollector(Kind::kSmp, smp.domain_sizes()) {
   smp_ = &smp;
   attr_width_ = fo::CeilLog2(smp.d());
   Init(options.lanes);
@@ -106,7 +99,7 @@ MultidimCollector::MultidimCollector(const multidim::Smp& smp,
 
 MultidimCollector::MultidimCollector(const multidim::RsFd& rsfd,
                                      const CollectorOptions& options)
-    : MultidimCollector(Kind::kRsFd, rsfd.domain_sizes(), options) {
+    : MultidimCollector(Kind::kRsFd, rsfd.domain_sizes()) {
   rsfd_ = &rsfd;
   ue_variant_ = multidim::IsUeVariant(rsfd.variant());
   Init(options.lanes);
@@ -114,7 +107,7 @@ MultidimCollector::MultidimCollector(const multidim::RsFd& rsfd,
 
 MultidimCollector::MultidimCollector(const multidim::RsRfd& rsrfd,
                                      const CollectorOptions& options)
-    : MultidimCollector(Kind::kRsRfd, rsrfd.domain_sizes(), options) {
+    : MultidimCollector(Kind::kRsRfd, rsrfd.domain_sizes()) {
   rsrfd_ = &rsrfd;
   ue_variant_ = rsrfd.variant() != multidim::RsRfdVariant::kGrr;
   Init(options.lanes);
@@ -125,10 +118,6 @@ const fo::FrequencyOracle& MultidimCollector::oracle(int j) const {
 }
 
 void MultidimCollector::Init(int lanes) {
-  static_assert(alignof(Lane) >= 64,
-                "lanes must start on their own cache line");
-  static_assert(sizeof(Lane) % 64 == 0,
-                "lane padding must cover whole cache lines");
   const bool fd = kind_ == Kind::kRsFd || kind_ == Kind::kRsRfd;
   field_offsets_.assign(1, 0);
   row_offsets_.assign(1, 0);
@@ -146,10 +135,7 @@ void MultidimCollector::Init(int lanes) {
     if (fd) columns_.push_back(columns_.back() + k);
   }
 
-  if (lanes <= 0) lanes = DefaultThreadCount();
-  LDPR_CHECK(lanes >= 1, "collector needs at least one lane");
-  lanes_.reserve(lanes);
-  for (int i = 0; i < lanes; ++i) {
+  lanes_ = LaneSet<LaneState>(lanes, [&] {
     auto lane = std::make_unique<Lane>();
     // Tail slack for the FD kinds' word-wide field extraction
     // (fo::bitslice::ExtractBits) from the tuple copy.
@@ -165,60 +151,30 @@ void MultidimCollector::Init(int lanes) {
         lane->decoders.emplace_back(oracle(j));
       }
     }
-    lanes_.push_back(std::move(lane));
-  }
-}
-
-MultidimCollector::Lane& MultidimCollector::LaneFor(int hint) const {
-  return *lanes_[static_cast<std::size_t>(hint) % lanes_.size()];
+    return lane;
+  });
 }
 
 IngestResult MultidimCollector::Ingest(const IngestRequest& request) {
-  Lane& lane = LaneFor(request.lane);
-  std::lock_guard<std::mutex> guard(lane.mutex);
-  return IngestLocked(lane, request.frame);
+  return lanes_.Ingest(request, [this](Lane& lane, const IngestRequest& r) {
+    return IngestLocked(lane, r.frame);
+  });
 }
 
 void MultidimCollector::IngestAll(IngestSource& source) {
-  IngestRequest request;
-  bool more = source.Next(request);
-  while (more) {
-    const int hint = request.lane;
-    Lane& lane = LaneFor(hint);
-    std::lock_guard<std::mutex> guard(lane.mutex);
-    do {
-      source.Done(request, IngestLocked(lane, request.frame));
-      more = source.Next(request);
-      // Same hint, same lane: skips the modulo on the usual run.
-    } while (more &&
-             (request.lane == hint || &LaneFor(request.lane) == &lane));
-  }
+  lanes_.IngestAll(source, [this](Lane& lane, const IngestRequest& r) {
+    return IngestLocked(lane, r.frame);
+  });
 }
 
 IngestResult MultidimCollector::IngestLocked(
     Lane& lane, std::span<const std::uint8_t> frame) {
   const std::uint8_t* data = frame.data();
   const std::size_t size = frame.size();
-  bool accepted = false;
-  switch (kind_) {
-    case Kind::kSpl:
-      accepted = IngestSpl(lane, data, size);
-      break;
-    case Kind::kSmp:
-      accepted = IngestSmp(lane, data, size);
-      break;
-    case Kind::kRsFd:
-    case Kind::kRsRfd:
-      accepted = IngestFd(lane, data, size);
-      break;
-  }
-  if (!accepted) {
-    ++lane.tallies.rejected;
-    return IngestResult::Rejected(RejectReason::kMalformed);
-  }
-  ++lane.tallies.reports;
-  lane.tallies.bytes += static_cast<long long>(size);
-  return IngestResult::Accepted();
+  const bool accepted = kind_ == Kind::kSpl   ? IngestSpl(lane, data, size)
+                        : kind_ == Kind::kSmp ? IngestSmp(lane, data, size)
+                                              : IngestFd(lane, data, size);
+  return accepted ? lane.Accept(size) : lane.Reject(RejectReason::kMalformed);
 }
 
 std::span<const std::uint8_t> MultidimCollector::FieldRow(
@@ -301,28 +257,41 @@ bool MultidimCollector::IngestFd(Lane& lane, const std::uint8_t* data,
 
 MultidimSnapshot MultidimCollector::Seal() {
   const double now = MonotonicSeconds();
+  const double seconds = now - opened_at_;
+  opened_at_ = now;
   MultidimSnapshot snapshot;
   snapshot.epoch = next_epoch_++;
-  snapshot.stats.seconds = now - opened_at_;
-  opened_at_ = now;
 
-  IngestCounters tallies;
-  std::vector<long long> attr_n(d(), 0);
-  if (kind_ == Kind::kSpl || kind_ == Kind::kSmp) {
-    std::vector<std::unique_ptr<fo::Aggregator>> merged;
-    merged.reserve(d());
-    for (int j = 0; j < d(); ++j) merged.push_back(oracle(j).MakeAggregator());
-    for (auto& lane_ptr : lanes_) {
-      Lane& lane = *lane_ptr;
-      std::lock_guard<std::mutex> guard(lane.mutex);
+  const bool fd = kind_ == Kind::kRsFd || kind_ == Kind::kRsRfd;
+  std::vector<std::unique_ptr<fo::Aggregator>> merged;  // SPL/SMP
+  std::vector<std::vector<long long>> counts(d());      // FD kinds
+  for (int j = 0; j < d(); ++j) {
+    if (fd) {
+      counts[j].assign(domain_sizes_[j], 0);
+    } else {
+      merged.push_back(oracle(j).MakeAggregator());
+    }
+  }
+  const IngestCounters tallies = lanes_.Drain([&](Lane& lane) {
+    if (!fd) {
       for (int j = 0; j < d(); ++j) {
         merged[j]->Merge(*lane.per_attribute[j]);
-        lane.per_attribute[j] = oracle(j).MakeAggregator();
+        lane.per_attribute[j]->Reset();
       }
-      snapshot.n += lane.tallies.reports;
-      tallies.Merge(lane.tallies);
-      lane.tallies = IngestCounters{};
+      return;
     }
+    for (int j = 0; j < d(); ++j) {
+      for (int v = 0; v < domain_sizes_[j]; ++v) {
+        counts[j][v] += lane.counts[columns_[j] + v];
+      }
+    }
+    std::memset(lane.counts.get(), 0,
+                static_cast<std::size_t>(columns_.back()) * sizeof(long long));
+  });
+  snapshot.n = tallies.reports;
+
+  std::vector<long long> attr_n(d(), 0);
+  if (!fd) {
     for (int j = 0; j < d(); ++j) {
       // SPL randomizes every attribute per tuple; SMP only the sampled one.
       attr_n[j] = kind_ == Kind::kSpl ? snapshot.n : merged[j]->n();
@@ -340,39 +309,14 @@ MultidimSnapshot MultidimCollector::Seal() {
         }
       }
     }
-  } else {
-    std::vector<std::vector<long long>> counts(d());
-    for (int j = 0; j < d(); ++j) counts[j].assign(domain_sizes_[j], 0);
-    for (auto& lane_ptr : lanes_) {
-      Lane& lane = *lane_ptr;
-      std::lock_guard<std::mutex> guard(lane.mutex);
-      for (int j = 0; j < d(); ++j) {
-        for (int v = 0; v < domain_sizes_[j]; ++v) {
-          counts[j][v] += lane.counts[columns_[j] + v];
-        }
-      }
-      std::memset(lane.counts.get(), 0,
-                  static_cast<std::size_t>(columns_.back()) *
-                      sizeof(long long));
-      snapshot.n += lane.tallies.reports;
-      tallies.Merge(lane.tallies);
-      lane.tallies = IngestCounters{};
-    }
-    if (snapshot.n > 0) {
-      snapshot.estimates =
-          kind_ == Kind::kRsFd
-              ? rsfd_->EstimateFromSupportCounts(counts, snapshot.n)
-              : rsrfd_->EstimateFromSupportCounts(counts, snapshot.n);
-    }
+  } else if (snapshot.n > 0) {
+    snapshot.estimates =
+        kind_ == Kind::kRsFd
+            ? rsfd_->EstimateFromSupportCounts(counts, snapshot.n)
+            : rsrfd_->EstimateFromSupportCounts(counts, snapshot.n);
   }
 
-  snapshot.stats.reports = tallies.reports;
-  snapshot.stats.bytes = tallies.bytes;
-  snapshot.stats.rejected = tallies.rejected;
-  snapshot.stats.reports_per_second =
-      snapshot.stats.seconds > 0.0
-          ? static_cast<double>(tallies.reports) / snapshot.stats.seconds
-          : 0.0;
+  snapshot.stats = IngestStats::From(tallies, seconds);
 
   cumulative_n_ += snapshot.n;
   for (int j = 0; j < d(); ++j) cumulative_attr_n_[j] += attr_n[j];

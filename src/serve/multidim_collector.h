@@ -2,10 +2,10 @@
 #define LDPR_SERVE_MULTIDIM_COLLECTOR_H_
 
 // Multidimensional front-end of the collection service: routes wire-encoded
-// SPL / SMP / RS+FD / RS+RFD tuples (serve/multidim_wire formats) into
-// lock-striped lanes that follow the scalar Collector's rules: each lane is
-// cache-line isolated, holds per-attribute state for every attribute, and
-// takes its mutex once per run of same-lane requests in IngestAll.
+// SPL / SMP / RS+FD / RS+RFD tuples (serve/multidim_wire formats) into the
+// scalar Collector's lane set (serve/lanes.h); each lane holds per-attribute
+// state for every attribute, and the collector adds only its tuple body and
+// its seal.
 //
 // Per lane, SPL and SMP shift each attribute's field into a byte-aligned,
 // zero-padded row, check it with that attribute's fo::WireDecoder::Validate
@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "serve/collector.h"
+#include "serve/lanes.h"
 #include "serve/multidim_wire.h"
 
 namespace ldpr::serve {
@@ -61,7 +62,7 @@ class MultidimCollector final : public IngestSink {
   MultidimCollector(const multidim::RsRfd& rsrfd,
                     const CollectorOptions& options = {});
 
-  ~MultidimCollector() override;  // Lane is incomplete here
+  ~MultidimCollector() override;  // LaneState is incomplete here
 
   /// Decodes one wire-encoded tuple into lane `request.lane % lanes()`.
   /// Thread-safe; a malformed tuple is rejected kMalformed (counted, no
@@ -69,11 +70,9 @@ class MultidimCollector final : public IngestSink {
   /// yet, so request.user is accepted unclassified.
   IngestResult Ingest(const IngestRequest& request) override;
 
-  /// Ingests every request of `source`, taking a lane mutex once per run of
-  /// consecutive requests that map to the same lane; each request gets the
-  /// result Ingest would give it. source.Next and source.Done run under that
-  /// mutex (lock order in serve/ingest.h), so a Seal racing the source waits
-  /// for the run in progress to end.
+  /// Ingests every request of `source` (LaneSet::IngestAll) with the
+  /// result Ingest would give each; a racing Seal waits for at most the run
+  /// of same-lane requests in progress.
   void IngestAll(IngestSource& source) override;
 
   /// Merges every lane, estimates per-attribute frequencies, freezes the
@@ -81,23 +80,22 @@ class MultidimCollector final : public IngestSink {
   /// regardless of the number of tuples ingested.
   MultidimSnapshot Seal();
 
-  int lanes() const { return static_cast<int>(lanes_.size()); }
+  int lanes() const { return lanes_.size(); }
   int d() const { return static_cast<int>(domain_sizes_.size()); }
   const std::vector<int>& domain_sizes() const { return domain_sizes_; }
 
  private:
   enum class Kind { kSpl, kSmp, kRsFd, kRsRfd };
 
-  struct Lane;
+  struct LaneState;
+  using Lane = serve::Lane<LaneState>;
 
-  MultidimCollector(Kind kind, std::vector<int> domain_sizes,
-                    const CollectorOptions& options);
+  MultidimCollector(Kind kind, std::vector<int> domain_sizes);
   /// SPL/SMP: attribute j's oracle.
   const fo::FrequencyOracle& oracle(int j) const;
   /// Lays out the fields, rows and columns, then builds the lanes.
   void Init(int lanes);
   int tuple_bits() const { return field_offsets_.back(); }
-  Lane& LaneFor(int hint) const;
   /// The one validate -> accumulate body behind Ingest and IngestAll.
   /// Caller holds the lane mutex.
   IngestResult IngestLocked(Lane& lane, std::span<const std::uint8_t> frame);
@@ -135,7 +133,7 @@ class MultidimCollector final : public IngestSink {
   std::vector<int> columns_;
   /// Byte offset of each attribute's row in a lane's row buffer.
   std::vector<std::size_t> row_offsets_;
-  std::vector<std::unique_ptr<Lane>> lanes_;
+  LaneSet<LaneState> lanes_;
   long long next_epoch_ = 0;
   double opened_at_ = 0.0;
   /// Cumulative ledger tallies, integer until report time.

@@ -285,6 +285,37 @@ TEST_P(BitsliceExactTest, AccumulateFrameMatchesDecodeInto) {
   EXPECT_EQ(staged->Estimate(), reference->Estimate());
 }
 
+// Aggregator::Reset returns an aggregator to its fresh state while keeping
+// its staging block and protocol scratch: with rows left staged and the
+// block kernel's scratch already built (one block decoded — for OLH that
+// builds the per-value hash halves), a reset aggregator fed a second stream
+// reads bit-identical to a fresh one fed only that stream.
+TEST_P(BitsliceExactTest, ResetMatchesFreshAggregator) {
+  auto oracle = MakeOracle(protocol(), k(), kEpsilon);
+  const int block = bitslice::kBlockRows;
+  const auto first = MakeFrames(*oracle, block + 37, kSeed ^ 0x5E7);
+  const auto second = MakeFrames(*oracle, 2 * block + 5, kSeed ^ 0x5E8);
+
+  auto reused = oracle->MakeAggregator();
+  for (const auto& frame : first) reused->AccumulateFrame(frame);
+  ASSERT_EQ(reused->staged(), 37);
+  reused->Reset();
+  EXPECT_EQ(reused->staged(), 0);
+  EXPECT_EQ(reused->n(), 0);
+  EXPECT_EQ(reused->counts(), std::vector<long long>(k(), 0));
+
+  auto fresh = oracle->MakeAggregator();
+  for (const auto& frame : second) {
+    reused->AccumulateFrame(frame);
+    fresh->AccumulateFrame(frame);
+  }
+  EXPECT_EQ(reused->staged(), 5);
+  EXPECT_EQ(fresh->staged(), 5);
+  EXPECT_EQ(reused->counts(), fresh->counts());
+  EXPECT_EQ(reused->n(), fresh->n());
+  EXPECT_EQ(reused->Estimate(), fresh->Estimate());
+}
+
 std::string ParamName(
     const ::testing::TestParamInfo<std::tuple<Protocol, int>>& info) {
   return std::string(ProtocolName(std::get<0>(info.param))) + "_k" +

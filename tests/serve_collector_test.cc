@@ -5,6 +5,7 @@
 // rejected cleanly (no UB under ASan/UBSan, nothing accumulated), and the
 // epoch lifecycle must enforce open -> ingest -> seal.
 
+#include <algorithm>
 #include <thread>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "fo/bitslice.h"
 #include "fo/factory.h"
 #include "fo/wire.h"
+#include "obs/metrics.h"
 #include "serve/collector.h"
 #include "serve/loadgen.h"
 #include "serve/longitudinal.h"
@@ -445,6 +447,89 @@ TEST_P(ServeCollectorTest, ConcurrentProducersMatchSingleThreadBitwise) {
     EXPECT_GE(result.reports_per_second, 0.0);
     expect_matches_reference(manager.Seal(), "IngestStreamMt");
   }
+}
+
+// Replays a fixed request list through IngestAll, counting acceptances.
+class VectorSource final : public IngestSource {
+ public:
+  explicit VectorSource(std::vector<IngestRequest> requests)
+      : requests_(std::move(requests)) {}
+  bool Next(IngestRequest& request) override {
+    if (next_ == requests_.size()) return false;
+    request = requests_[next_++];
+    return true;
+  }
+  void Done(const IngestRequest&, IngestResult result) override {
+    accepted += result.accepted ? 1 : 0;
+  }
+  long long accepted = 0;
+
+ private:
+  std::vector<IngestRequest> requests_;
+  std::size_t next_ = 0;
+};
+
+// Decode-block telemetry at collector level: ldpr_decode_block_rows gets one
+// sample per block decode — each full kBlockRows block as it fills, plus each
+// busy lane's partial block at seal — so its sum is the accepted reports. A
+// lane that never ingests records nothing, a closed-form feed decodes
+// nothing, and a second seal with nothing staged records nothing either.
+TEST_P(ServeCollectorTest, DecodeBlockHistogramsCountEveryDecodeOnce) {
+  const int k = 12;
+  const int block = fo::bitslice::kBlockRows;
+  const int per_lane = 2 * block + 5;
+  const std::vector<int> busy = {0, 1, 3};  // lane 2 stays empty
+  const long long busy_lanes = static_cast<long long>(busy.size());
+  auto oracle = fo::MakeOracle(GetParam(), k, 1.0);
+  obs::MetricsRegistry registry;
+  Collector collector(*oracle,
+                      CollectorOptions{.lanes = 4, .metrics = &registry});
+
+  Rng rng(91);
+  std::vector<std::vector<std::uint8_t>> frames;
+  for (int i = 0; i < per_lane; ++i) {
+    frames.push_back(
+        fo::SerializeReport(*oracle, oracle->Randomize(i % k, rng)));
+  }
+  // Runs of 7 same-lane requests, round-robin over the busy lanes.
+  std::vector<IngestRequest> requests;
+  for (int start = 0; start < per_lane; start += 7) {
+    for (int lane : busy) {
+      for (int i = start; i < std::min(start + 7, per_lane); ++i) {
+        requests.push_back({.frame = frames[i], .lane = lane});
+      }
+    }
+  }
+  VectorSource source(std::move(requests));
+  collector.IngestAll(source);
+  const long long accepted = busy_lanes * per_lane;
+  ASSERT_EQ(source.accepted, accepted);
+  for (int lane : busy) EXPECT_EQ(collector.staged(lane), 5) << lane;
+
+  // The closed-form feed leaves the staged rows alone.
+  collector.IngestHistogram(0, std::vector<long long>(k, 3), rng);
+  EXPECT_EQ(collector.staged(0), 5);
+
+  auto rows = registry.GetHistogram("ldpr_decode_block_rows", "", "");
+  auto seconds = registry.GetHistogram("ldpr_decode_block_seconds", "", "");
+  const obs::HistogramSnapshot live = rows->Merge();
+  EXPECT_EQ(live.count, 2 * busy_lanes);
+  EXPECT_EQ(live.sum, 2 * block * busy_lanes);
+
+  const Collector::Drained first = collector.Drain();
+  const Collector::Drained second = collector.Drain();
+  EXPECT_EQ(first.n, accepted + 3 * k);
+  EXPECT_EQ(first.tallies.reports, accepted + 3 * k);
+  EXPECT_EQ(second.n, 0);
+
+  const obs::HistogramSnapshot sealed = rows->Merge();
+  EXPECT_EQ(sealed.count, 3 * busy_lanes);  // two full + one partial each
+  EXPECT_EQ(sealed.sum, accepted);
+  EXPECT_EQ(sealed.buckets[obs::Histogram::BucketIndex(block)],
+            2 * busy_lanes);
+  EXPECT_EQ(sealed.buckets[obs::Histogram::BucketIndex(5)], busy_lanes);
+  EXPECT_EQ(sealed.buckets[obs::Histogram::BucketIndex(0)], 0);
+  EXPECT_EQ(seconds->Merge().count, sealed.count);
 }
 
 TEST(ServeEpochTest, LifecycleIsEnforced) {
