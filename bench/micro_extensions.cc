@@ -1,11 +1,14 @@
 // Microbenchmarks (google-benchmark) for the extension subsystems: the wire
 // codec round-trip per protocol, the pool-inference posterior update, the
-// naive-Bayes trainer/predictor, the uniqueness profiler and the ledger
-// simulation. Throughput baselines, not paper figures.
+// naive-Bayes trainer/predictor, the uniqueness profiler, the
+// re-identification matcher and the ledger simulation. Throughput
+// baselines, not paper figures.
 
 #include <benchmark/benchmark.h>
 
 #include "attack/pool.h"
+#include "attack/profiling.h"
+#include "attack/reident.h"
 #include "attack/uniqueness.h"
 #include "core/rng.h"
 #include "data/synthetic.h"
@@ -79,6 +82,37 @@ void BM_UniquenessProfile(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_UniquenessProfile);
+
+// The Section 3.2.4 matcher at fig02's defaults: Adult-like n = 9,044,
+// FK-RI, 3,000 targets, profiles from 5 SMP surveys at eps = 4. Items are
+// (target, background record) pairs, the unit of perfbench paper_figures'
+// reident_pairs_per_s.
+void BM_ReidentAccuracy(benchmark::State& state, fo::Protocol protocol) {
+  const data::Dataset ds = data::AdultLike(4, 0.2);
+  Rng rng(6);
+  const attack::SurveyPlan plan = attack::MakeSurveyPlan(ds.d(), 5, rng);
+  auto channel = attack::MakeLdpChannel(protocol, ds.domain_sizes(), 4.0);
+  const std::vector<attack::Profile> profiles =
+      attack::SimulateSmpProfiling(ds, *channel, plan,
+                                   attack::PrivacyMetricMode::kUniform, rng)
+          .back();
+  const std::vector<bool> bk = attack::MakeBackgroundAttributes(
+      ds.d(), attack::ReidentModel::kFullKnowledge, rng);
+  attack::ReidentConfig config;
+  config.max_targets = 3000;
+  for (auto _ : state) {
+    Rng trial(7);
+    auto result = attack::ReidentAccuracy(profiles, ds, bk, config, trial);
+    benchmark::DoNotOptimize(result);
+  }
+  state.SetItemsProcessed(state.iterations() * config.max_targets *
+                          static_cast<std::int64_t>(ds.n()));
+}
+BENCHMARK_CAPTURE(BM_ReidentAccuracy, grr, fo::Protocol::kGrr)->UseRealTime();
+BENCHMARK_CAPTURE(BM_ReidentAccuracy, ss, fo::Protocol::kSs)->UseRealTime();
+BENCHMARK_CAPTURE(BM_ReidentAccuracy, sue, fo::Protocol::kSue)->UseRealTime();
+BENCHMARK_CAPTURE(BM_ReidentAccuracy, olh, fo::Protocol::kOlh)->UseRealTime();
+BENCHMARK_CAPTURE(BM_ReidentAccuracy, oue, fo::Protocol::kOue)->UseRealTime();
 
 void BM_LedgerSimulation(benchmark::State& state) {
   Rng rng(5);

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "core/check.h"
 #include "data/synthetic.h"
 
@@ -14,6 +18,88 @@ data::Dataset GridBackground(int n, int ka, int kb) {
   data::Dataset ds({ka, kb});
   for (int i = 0; i < n; ++i) ds.AddRecord({i % ka, i % kb});
   return ds;
+}
+
+/// The reference matcher: a scalar loop over int columns that stops a
+/// record's distance once it exceeds the target's own. The vectorized
+/// kernel must reproduce it bit for bit, RNG draws included.
+ReidentResult BruteForceReident(const std::vector<Profile>& profiles,
+                                const data::Dataset& background,
+                                const std::vector<bool>& bk_attributes,
+                                const ReidentConfig& config, Rng& rng) {
+  const int n = background.n();
+  data::Dataset matching = background;
+  if (config.bk_noise > 0.0) {
+    matching = data::Dataset(background.domain_sizes());
+    std::vector<int> record(background.d());
+    for (int i = 0; i < n; ++i) {
+      for (int j = 0; j < background.d(); ++j) {
+        record[j] = background.value(i, j);
+        if (rng.Bernoulli(config.bk_noise)) {
+          const int kj = background.domain_size(j);
+          int other = static_cast<int>(rng.UniformInt(kj - 1));
+          record[j] = other >= record[j] ? other + 1 : other;
+        }
+      }
+      matching.AddRecord(record);
+    }
+  }
+  std::vector<int> targets;
+  if (config.max_targets > 0 && config.max_targets < n) {
+    targets = rng.SampleWithoutReplacement(n, config.max_targets);
+  } else {
+    for (int i = 0; i < n; ++i) targets.push_back(i);
+  }
+  const std::size_t num_k = config.top_k.size();
+  std::vector<double> hit_sums(num_k * targets.size(), 0.0);
+  for (std::size_t t = 0; t < targets.size(); ++t) {
+    const int user = targets[t];
+    std::vector<std::pair<const int*, int>> checks;
+    for (const auto& [attr, value] : profiles[user]) {
+      if (bk_attributes[attr]) {
+        checks.emplace_back(matching.Column(attr).data(), value);
+      }
+    }
+    if (checks.empty()) {
+      for (std::size_t ki = 0; ki < num_k; ++ki) {
+        hit_sums[ki * targets.size() + t] =
+            std::min(1.0, static_cast<double>(config.top_k[ki]) / n);
+      }
+      continue;
+    }
+    int true_dist = 0;
+    for (const auto& [col, value] : checks) {
+      if (col[user] != value) ++true_dist;
+    }
+    long long closer = 0;
+    long long ties = 0;
+    for (int r = 0; r < n; ++r) {
+      int dist = 0;
+      for (const auto& [col, value] : checks) {
+        if (col[r] != value && ++dist > true_dist) break;
+      }
+      if (dist < true_dist) {
+        ++closer;
+      } else if (dist == true_dist) {
+        ++ties;
+      }
+    }
+    for (std::size_t ki = 0; ki < num_k; ++ki) {
+      const double k = config.top_k[ki];
+      hit_sums[ki * targets.size() + t] =
+          std::clamp((k - static_cast<double>(closer)) / ties, 0.0, 1.0);
+    }
+  }
+  ReidentResult out;
+  out.rid_acc_percent.resize(num_k);
+  for (std::size_t ki = 0; ki < num_k; ++ki) {
+    double sum = 0.0;
+    for (std::size_t t = 0; t < targets.size(); ++t) {
+      sum += hit_sums[ki * targets.size() + t];
+    }
+    out.rid_acc_percent[ki] = 100.0 * sum / targets.size();
+  }
+  return out;
 }
 
 ReidentConfig AllTargets(std::vector<int> top_k = {1, 10}) {
@@ -167,6 +253,11 @@ TEST(ReidentTest, Validation) {
   bad.top_k = {};
   EXPECT_THROW(ReidentAccuracy(profiles, ds, {true, true}, bad, rng),
                InvalidArgumentError);
+  // A profile naming an attribute the background does not have.
+  profiles[2] = {{2, 0}};
+  EXPECT_THROW(
+      ReidentAccuracy(profiles, ds, {true, true}, AllTargets(), rng),
+      InvalidArgumentError);
 }
 
 TEST(ReidentTest, BkNoiseValidatedAndZeroNoiseIdentical) {
@@ -219,6 +310,97 @@ TEST(ReidentTest, BkNoiseDegradesTheAttackMonotonically) {
   }
   // At 90% corruption the background is nearly useless.
   EXPECT_LT(prev, 25.0);
+}
+
+TEST(ReidentTest, KernelMatchesBruteForce) {
+  // Domains 2 and 74 pack to bytes; 300 forces the int columns.
+  const std::vector<std::vector<int>> domain_sets = {
+      {2, 74, 5, 2}, {2, 300, 74, 7}};
+  // n = 1, and sizes that are not multiples of 16 or 64.
+  for (int n : {1, 17, 100, 523}) {
+    for (const auto& domains : domain_sets) {
+      const int d = static_cast<int>(domains.size());
+      Rng data_rng(1000 + n + domains[1]);
+      data::Dataset ds(domains);
+      std::vector<int> record(d);
+      for (int i = 0; i < n; ++i) {
+        // Skewed values so that distances tie often.
+        for (int j = 0; j < d; ++j) {
+          record[j] = static_cast<int>(
+              data_rng.UniformInt(std::min(domains[j], 4 + i % 3)));
+        }
+        ds.AddRecord(record);
+      }
+
+      for (ReidentModel model :
+           {ReidentModel::kFullKnowledge, ReidentModel::kPartialKnowledge}) {
+        Rng bk_rng(n + 7);
+        const std::vector<bool> bk = MakeBackgroundAttributes(d, model, bk_rng);
+
+        std::vector<Profile> profiles(n);
+        for (int i = 0; i < n; ++i) {
+          Profile& p = profiles[i];
+          switch (i % 6) {
+            case 0:  // empty
+              break;
+            case 1:  // only attributes outside the background knowledge
+              for (int j = 0; j < d; ++j) {
+                if (!bk[j]) p.emplace_back(j, ds.value(i, j));
+              }
+              break;
+            case 2:  // only values no record can hold
+              p = {{0, -1}, {1, domains[1]}, {2, 256}, {3, 300}};
+              break;
+            case 3:  // repeated attributes, true and wrong values
+              p = {{1, ds.value(i, 1)},
+                   {1, ds.value(i, 1)},
+                   {2, (ds.value(i, 2) + 1) % domains[2]},
+                   {1, 0}};
+              break;
+            case 4:  // more checks than a byte can count
+              for (int c = 0; c < 300; ++c) {
+                p.emplace_back(c % d, c % 7 == 0 ? ds.value(i, c % d) : 0);
+              }
+              break;
+            default:  // random values, out-of-range ones mixed in
+              for (int j = 0; j < d; ++j) {
+                const int pick = static_cast<int>(data_rng.UniformInt(8));
+                if (pick == 0) continue;
+                int v = ds.value(i, j);
+                if (pick == 1) v = -3;
+                if (pick == 2) v = domains[j] + pick;
+                if (pick == 3) v = 256 + v;  // aliases v when truncated to a byte
+                if (pick == 4) {
+                  v = static_cast<int>(data_rng.UniformInt(domains[j]));
+                }
+                p.emplace_back(j, v);
+              }
+          }
+        }
+
+        for (double noise : {0.0, 0.3}) {
+          for (int max_targets : {0, n / 2}) {
+            ReidentConfig config;
+            config.top_k = {1, 5, 10};
+            config.max_targets = max_targets;
+            config.bk_noise = noise;
+            Rng rng_kernel(n * 31 + max_targets), rng_ref(n * 31 + max_targets);
+            const ReidentResult got =
+                ReidentAccuracy(profiles, ds, bk, config, rng_kernel);
+            const ReidentResult want =
+                BruteForceReident(profiles, ds, bk, config, rng_ref);
+            EXPECT_EQ(got.rid_acc_percent, want.rid_acc_percent)
+                << "n=" << n << " k1=" << domains[1]
+                << " pk=" << (model == ReidentModel::kPartialKnowledge)
+                << " noise=" << noise << " max_targets=" << max_targets;
+            // Both consumed the same RNG draws.
+            EXPECT_EQ(rng_kernel.UniformInt(1u << 30),
+                      rng_ref.UniformInt(1u << 30));
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -62,11 +63,13 @@ TEST(ObsHistogramBuckets, ClampsAndErrorBound) {
 TEST(ObsHistogram, ShardMergeBitIdentity) {
   Histogram sharded(8);
   Histogram single(1);
-  long long v = 1;
+  // The LCG steps in unsigned arithmetic, where wrap-around is defined;
+  // masked to 40 bits, the samples fit a long long.
+  std::uint64_t v = 1;
   std::vector<long long> samples;
   for (int i = 0; i < 10'000; ++i) {
-    v = (v * 2862933555777941757LL + 3037000493LL) & ((1LL << 40) - 1);
-    samples.push_back(v);
+    v = (v * 2862933555777941757ULL + 3037000493ULL) & ((1ULL << 40) - 1);
+    samples.push_back(static_cast<long long>(v));
   }
   for (std::size_t i = 0; i < samples.size(); ++i) {
     sharded.Record(samples[i], static_cast<int>(i % 8));
