@@ -101,104 +101,51 @@ int BayesAttacker::Predict(const fo::Report& report, Rng& rng) const {
 // ---------------------------------------------------------------------------
 
 BayesAifAttacker::BayesAifAttacker(
-    const multidim::RsFd& protocol,
+    const multidim::FakeData& protocol,
     const std::vector<std::vector<double>>& estimated_marginals)
-    : d_(protocol.d()), domain_sizes_(protocol.domain_sizes()) {
+    : d_(protocol.d()),
+      domain_sizes_(protocol.domain_sizes()),
+      bits_(d_),
+      sampled_(d_),
+      fake_(d_) {
   LDPR_REQUIRE(static_cast<int>(estimated_marginals.size()) == d_,
                "need one estimated marginal per attribute");
-  const bool ue = multidim::IsUeVariant(protocol.variant());
-  payload_ = ue ? Payload::kBits : Payload::kValues;
-
-  if (!ue) {
-    sampled_log_.resize(d_);
-    fake_log_.resize(d_);
-    for (int j = 0; j < d_; ++j) {
-      const int kj = domain_sizes_[j];
-      const auto f = ProjectToSimplex(estimated_marginals[j]);
-      const double p = protocol.p(j);
-      const double q = protocol.q(j);
-      sampled_log_[j].resize(kj);
-      fake_log_[j].assign(kj, SafeLog(1.0 / kj));  // uniform fakes
-      for (int v = 0; v < kj; ++v) {
-        sampled_log_[j][v] = SafeLog(f[v] * (p - q) + q);
-      }
-    }
-    return;
-  }
-
-  sampled_bit_p_.resize(d_);
-  fake_bit_p_.resize(d_);
-  const bool zero_fakes = multidim::IsZeroFakeVariant(protocol.variant());
   for (int j = 0; j < d_; ++j) {
     const int kj = domain_sizes_[j];
     const auto f = ProjectToSimplex(estimated_marginals[j]);
     const double p = protocol.p(j);
     const double q = protocol.q(j);
-    sampled_bit_p_[j].resize(kj);
-    fake_bit_p_[j].resize(kj);
+    bits_[j] = protocol.column(j).payload != multidim::FakePayload::kGrr;
+    sampled_[j].resize(kj);
+    fake_[j].resize(kj);
     for (int v = 0; v < kj; ++v) {
-      sampled_bit_p_[j][v] = f[v] * p + (1.0 - f[v]) * q;
-      fake_bit_p_[j][v] =
-          zero_fakes ? q : (1.0 / kj) * p + (1.0 - 1.0 / kj) * q;
-    }
-  }
-}
-
-BayesAifAttacker::BayesAifAttacker(
-    const multidim::RsRfd& protocol,
-    const std::vector<std::vector<double>>& estimated_marginals)
-    : d_(protocol.d()), domain_sizes_(protocol.domain_sizes()) {
-  LDPR_REQUIRE(static_cast<int>(estimated_marginals.size()) == d_,
-               "need one estimated marginal per attribute");
-  const bool ue = protocol.variant() != multidim::RsRfdVariant::kGrr;
-  payload_ = ue ? Payload::kBits : Payload::kValues;
-  const auto& priors = protocol.priors();
-
-  if (!ue) {
-    sampled_log_.resize(d_);
-    fake_log_.resize(d_);
-    for (int j = 0; j < d_; ++j) {
-      const int kj = domain_sizes_[j];
-      const auto f = ProjectToSimplex(estimated_marginals[j]);
-      const double p = protocol.p(j);
-      const double q = protocol.q(j);
-      sampled_log_[j].resize(kj);
-      fake_log_[j].resize(kj);
-      for (int v = 0; v < kj; ++v) {
-        sampled_log_[j][v] = SafeLog(f[v] * (p - q) + q);
-        fake_log_[j][v] = SafeLog(priors[j][v]);
+      const double w = protocol.FakeMass(j, v);
+      if (bits_[j]) {
+        sampled_[j][v] = f[v] * p + (1.0 - f[v]) * q;
+        fake_[j][v] = w * p + (1.0 - w) * q;
+      } else {
+        sampled_[j][v] = SafeLog(f[v] * (p - q) + q);
+        fake_[j][v] = SafeLog(w);
       }
-    }
-    return;
-  }
-
-  sampled_bit_p_.resize(d_);
-  fake_bit_p_.resize(d_);
-  for (int j = 0; j < d_; ++j) {
-    const int kj = domain_sizes_[j];
-    const auto f = ProjectToSimplex(estimated_marginals[j]);
-    const double p = protocol.p(j);
-    const double q = protocol.q(j);
-    sampled_bit_p_[j].resize(kj);
-    fake_bit_p_[j].resize(kj);
-    for (int v = 0; v < kj; ++v) {
-      sampled_bit_p_[j][v] = f[v] * p + (1.0 - f[v]) * q;
-      fake_bit_p_[j][v] = priors[j][v] * p + (1.0 - priors[j][v]) * q;
     }
   }
 }
 
 double BayesAifAttacker::ScoreDelta(const multidim::MultidimReport& report,
                                     int j) const {
-  if (payload_ == Payload::kValues) {
+  const int kj = domain_sizes_[j];
+  if (!bits_[j]) {
     const int y = report.values[j];
-    return sampled_log_[j][y] - fake_log_[j][y];
+    LDPR_REQUIRE(y >= 0 && y < kj, "report value out of range");
+    return sampled_[j][y] - fake_[j][y];
   }
-  double delta = 0.0;
   const auto& bits = report.bits[j];
-  for (int v = 0; v < domain_sizes_[j]; ++v) {
-    const double s = sampled_bit_p_[j][v];
-    const double g = fake_bit_p_[j][v];
+  LDPR_REQUIRE(static_cast<int>(bits.size()) == kj,
+               "report bit-vector length mismatch");
+  double delta = 0.0;
+  for (int v = 0; v < kj; ++v) {
+    const double s = sampled_[j][v];
+    const double g = fake_[j][v];
     delta += bits[v] ? SafeLog(s) - SafeLog(g)
                      : SafeLog(1.0 - s) - SafeLog(1.0 - g);
   }
@@ -207,11 +154,9 @@ double BayesAifAttacker::ScoreDelta(const multidim::MultidimReport& report,
 
 int BayesAifAttacker::PredictSampledAttribute(
     const multidim::MultidimReport& report) const {
-  if (payload_ == Payload::kValues) {
-    LDPR_REQUIRE(static_cast<int>(report.values.size()) == d_,
-                 "report width mismatch");
-  } else {
-    LDPR_REQUIRE(static_cast<int>(report.bits.size()) == d_,
+  for (int j = 0; j < d_; ++j) {
+    LDPR_REQUIRE(static_cast<int>(bits_[j] ? report.bits.size()
+                                           : report.values.size()) == d_,
                  "report width mismatch");
   }
   // Pr[y | t] factorizes; the fake contribution of every attribute cancels

@@ -5,6 +5,7 @@
 
 #include "core/rng.h"
 #include "fo/frequency_oracle.h"
+#include "multidim/fake_data.h"
 #include "multidim/rsfd.h"
 #include "multidim/rsrfd.h"
 
@@ -40,27 +41,26 @@ class BayesAttacker {
   std::vector<double> log_prior_;
 };
 
-/// Bayes-optimal sampled-attribute inference against RS+FD / RS+RFD — the
-/// analytic counterpart of the paper's GBDT classifier (NK model). Scores
+/// Bayes-optimal sampled-attribute inference against the fake-data
+/// solutions (RS+FD, RS+RFD and their adaptive variants) — the analytic
+/// counterpart of the paper's GBDT classifier (NK model). Scores
 ///   Pr[y | t] = M_t(y_t) * prod_{i != t} fake_i(y_i)
 /// where M_t is the randomizer's output distribution under the estimated
-/// marginals and fake_i the variant's fake-data distribution, and predicts
-/// the argmax over t.
+/// marginals and fake_i the attribute's fake-data distribution, and
+/// predicts the argmax over t.
 ///
 /// Used as a classifier ablation: it upper-bounds what any learner can
 /// extract from one tuple under the independence approximation, at zero
 /// training cost.
 class BayesAifAttacker {
  public:
-  /// RS+FD: uniform fakes for GRR, q-bits for UE-z, smoothed one-hots for
-  /// UE-r. `estimated_marginals[j]` is the attacker's frequency estimate for
-  /// attribute j (e.g. from RsFd::Estimate), normalized internally.
-  BayesAifAttacker(const multidim::RsFd& protocol,
-                   const std::vector<std::vector<double>>& estimated_marginals);
-
-  /// RS+RFD: fake data follows the protocol's priors (assumed known to the
-  /// attacker, as in Section 3.3 — the server publishes them).
-  BayesAifAttacker(const multidim::RsRfd& protocol,
+  /// Fake data follows each attribute's source: uniform values or smoothed
+  /// one-hots for RS+FD, q-bits for UE-z, and the protocol's priors for
+  /// RS+RFD (assumed known to the attacker, as in Section 3.3 — the server
+  /// publishes them). `estimated_marginals[j]` is the attacker's frequency
+  /// estimate for attribute j (e.g. from RsFd::Estimate), normalized
+  /// internally.
+  BayesAifAttacker(const multidim::FakeData& protocol,
                    const std::vector<std::vector<double>>& estimated_marginals);
 
   /// Predicts the sampled attribute of one output tuple.
@@ -71,23 +71,19 @@ class BayesAifAttacker {
       const std::vector<multidim::MultidimReport>& reports) const;
 
  private:
-  enum class Payload { kValues, kBits };
-
   /// Score contribution of attribute j if it were the sampled one, minus its
   /// contribution as fake data (the rest of the tuple cancels).
   double ScoreDelta(const multidim::MultidimReport& report, int j) const;
 
-  Payload payload_;
   int d_;
   std::vector<int> domain_sizes_;
-  /// Per attribute, per value: log M_j(value) under "sampled".
-  std::vector<std::vector<double>> sampled_log_;
-  /// Per attribute, per value: log fake_j(value) (kValues payload).
-  std::vector<std::vector<double>> fake_log_;
-  /// kBits payload: per attribute, per bit: P[bit = 1 | sampled] and
-  /// P[bit = 1 | fake].
-  std::vector<std::vector<double>> sampled_bit_p_;
-  std::vector<std::vector<double>> fake_bit_p_;
+  /// Per attribute: true for a bit-vector payload, false for GRR values.
+  std::vector<bool> bits_;
+  /// Per attribute, per value: GRR columns hold log M_j(value) under
+  /// "sampled" and log fake_j(value); bit-vector columns hold
+  /// P[bit = 1 | sampled] and P[bit = 1 | fake].
+  std::vector<std::vector<double>> sampled_;
+  std::vector<std::vector<double>> fake_;
 };
 
 }  // namespace ldpr::attack

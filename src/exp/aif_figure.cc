@@ -1,5 +1,7 @@
 #include "exp/aif_figure.h"
 
+#include <utility>
+
 #include "exp/grid_runner.h"
 #include "exp/grids.h"
 
@@ -7,10 +9,13 @@ namespace ldpr::exp {
 
 namespace {
 
-class RsFdSolution : public AifSolution {
+/// One RS+FD-family protocol (multidim::FakeData) as an attacked solution.
+template <typename Protocol>
+class FakeDataSolution : public AifSolution {
  public:
-  RsFdSolution(multidim::RsFdVariant variant, std::vector<int> k, double eps)
-      : protocol_(variant, std::move(k), eps) {}
+  template <typename... Args>
+  explicit FakeDataSolution(Args&&... args)
+      : protocol_(std::forward<Args>(args)...) {}
 
   attack::MultidimClient Client() const override {
     return [this](const std::vector<int>& rec, Rng& r) {
@@ -24,28 +29,7 @@ class RsFdSolution : public AifSolution {
   }
 
  private:
-  multidim::RsFd protocol_;
-};
-
-class RsRfdSolution : public AifSolution {
- public:
-  RsRfdSolution(multidim::RsRfdVariant variant, std::vector<int> k, double eps,
-                std::vector<std::vector<double>> priors)
-      : protocol_(variant, std::move(k), eps, std::move(priors)) {}
-
-  attack::MultidimClient Client() const override {
-    return [this](const std::vector<int>& rec, Rng& r) {
-      return protocol_.RandomizeUser(rec, r);
-    };
-  }
-  attack::MultidimEstimator Estimator() const override {
-    return [this](const std::vector<multidim::MultidimReport>& reps) {
-      return protocol_.Estimate(reps);
-    };
-  }
-
- private:
-  multidim::RsRfd protocol_;
+  Protocol protocol_;
 };
 
 }  // namespace
@@ -54,7 +38,8 @@ AifSolutionFactory MakeRsFdFactory(multidim::RsFdVariant variant,
                                    const data::Dataset& dataset) {
   const std::vector<int> k = dataset.domain_sizes();
   return [variant, k](double eps, Rng&) {
-    return std::make_unique<RsFdSolution>(variant, k, eps);
+    return std::make_unique<FakeDataSolution<multidim::RsFd>>(variant, k,
+                                                              eps);
   };
 }
 
@@ -66,8 +51,8 @@ AifSolutionFactory MakeRsRfdFactory(multidim::RsRfdVariant variant,
   return [variant, prior_kind, ds, prior_n](double eps, Rng& rng) {
     auto priors = data::BuildPriors(*ds, prior_kind, rng,
                                     /*total_central_eps=*/0.1, prior_n);
-    return std::make_unique<RsRfdSolution>(variant, ds->domain_sizes(), eps,
-                                           std::move(priors));
+    return std::make_unique<FakeDataSolution<multidim::RsRfd>>(
+        variant, ds->domain_sizes(), eps, std::move(priors));
   };
 }
 

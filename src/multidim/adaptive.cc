@@ -1,12 +1,10 @@
 #include "multidim/adaptive.h"
 
-#include <cmath>
 #include <utility>
 
 #include "core/check.h"
 #include "fo/grr.h"
 #include "fo/unary_encoding.h"
-#include "multidim/amplification.h"
 #include "multidim/variance.h"
 
 namespace ldpr::multidim {
@@ -99,134 +97,20 @@ const fo::FrequencyOracle& SmpAdaptive::oracle(int attribute) const {
 }
 
 RsFdAdaptive::RsFdAdaptive(std::vector<int> domain_sizes, double epsilon)
-    : domain_sizes_(std::move(domain_sizes)), epsilon_(epsilon) {
-  LDPR_REQUIRE(domain_sizes_.size() >= 2,
-               "RS+FD targets multidimensional data (d >= 2), got d="
-                   << domain_sizes_.size());
-  for (int k : domain_sizes_) {
-    LDPR_REQUIRE(k >= 2, "every attribute needs domain size >= 2");
+    : FakeData(std::move(domain_sizes), epsilon, /*priors=*/{},
+               ReportShape::kPerColumn) {
+  for (int k : this->domain_sizes()) {
+    if (AdaptiveRsFdChoice(k, d(), epsilon) == RsFdVariant::kGrr) {
+      AddColumn(FakePayload::kGrr, FakeSource::kUniform);
+    } else {
+      AddColumn(FakePayload::kOue, FakeSource::kZero);
+    }
   }
-  LDPR_REQUIRE(epsilon > 0, "epsilon must be positive, got " << epsilon);
-  amplified_epsilon_ = AmplifiedEpsilon(epsilon_, d());
-  choices_.reserve(domain_sizes_.size());
-  for (int k : domain_sizes_) {
-    choices_.push_back(AdaptiveRsFdChoice(k, d(), epsilon_));
-  }
-  oue_p_ = fo::Oue::PForEpsilon(amplified_epsilon_);
-  oue_q_ = fo::Oue::QForEpsilon(amplified_epsilon_);
 }
 
 RsFdVariant RsFdAdaptive::choice(int attribute) const {
-  LDPR_REQUIRE(attribute >= 0 && attribute < d(), "attribute out of range");
-  return choices_[attribute];
-}
-
-double RsFdAdaptive::p(int attribute) const {
-  LDPR_REQUIRE(attribute >= 0 && attribute < d(), "attribute out of range");
-  if (choices_[attribute] == RsFdVariant::kOueZ) return oue_p_;
-  const double e = std::exp(amplified_epsilon_);
-  return e / (e + domain_sizes_[attribute] - 1);
-}
-
-double RsFdAdaptive::q(int attribute) const {
-  LDPR_REQUIRE(attribute >= 0 && attribute < d(), "attribute out of range");
-  if (choices_[attribute] == RsFdVariant::kOueZ) return oue_q_;
-  return (1.0 - p(attribute)) / (domain_sizes_[attribute] - 1);
-}
-
-MultidimReport RsFdAdaptive::RandomizeUser(const std::vector<int>& record,
-                                           Rng& rng) const {
-  return RandomizeUserWithAttribute(
-      record, static_cast<int>(rng.UniformInt(d())), rng);
-}
-
-MultidimReport RsFdAdaptive::RandomizeUserWithAttribute(
-    const std::vector<int>& record, int sampled_attribute, Rng& rng) const {
-  LDPR_REQUIRE(static_cast<int>(record.size()) == d(),
-               "record has " << record.size() << " values, expected " << d());
-  LDPR_REQUIRE(sampled_attribute >= 0 && sampled_attribute < d(),
-               "sampled attribute out of range");
-  MultidimReport out;
-  out.sampled_attribute = sampled_attribute;
-  out.values.assign(d(), -1);
-  out.bits.resize(d());
-  for (int j = 0; j < d(); ++j) {
-    const int kj = domain_sizes_[j];
-    if (choices_[j] == RsFdVariant::kGrr) {
-      if (j == sampled_attribute) {
-        out.values[j] = fo::Grr::Perturb(record[j], kj, amplified_epsilon_,
-                                         rng);
-      } else {
-        out.values[j] = static_cast<int>(rng.UniformInt(kj));
-      }
-    } else {
-      std::vector<std::uint8_t> input;
-      if (j == sampled_attribute) {
-        input = fo::UnaryEncoding::OneHot(record[j], kj);
-      } else {
-        input.assign(kj, 0);  // OUE-z fake data
-      }
-      out.bits[j] = fo::UnaryEncoding::PerturbBits(input, oue_p_, oue_q_, rng);
-    }
-  }
-  return out;
-}
-
-std::vector<std::vector<double>> RsFdAdaptive::Estimate(
-    const std::vector<MultidimReport>& reports) const {
-  LDPR_REQUIRE(!reports.empty(), "Estimate requires at least one report");
-  std::vector<std::vector<long long>> counts(d());
-  for (int j = 0; j < d(); ++j) counts[j].assign(domain_sizes_[j], 0);
-  for (const MultidimReport& r : reports) {
-    LDPR_REQUIRE(static_cast<int>(r.values.size()) == d() &&
-                     static_cast<int>(r.bits.size()) == d(),
-                 "adaptive report width mismatch");
-    for (int j = 0; j < d(); ++j) {
-      if (choices_[j] == RsFdVariant::kGrr) {
-        LDPR_REQUIRE(r.values[j] >= 0 && r.values[j] < domain_sizes_[j],
-                     "report value out of range");
-        ++counts[j][r.values[j]];
-      } else {
-        LDPR_REQUIRE(static_cast<int>(r.bits[j].size()) == domain_sizes_[j],
-                     "report bit-vector length mismatch");
-        for (int v = 0; v < domain_sizes_[j]; ++v) {
-          if (r.bits[j][v]) ++counts[j][v];
-        }
-      }
-    }
-  }
-
-  return EstimateFromSupportCounts(counts,
-                                   static_cast<long long>(reports.size()));
-}
-
-std::vector<std::vector<double>> RsFdAdaptive::EstimateFromSupportCounts(
-    const std::vector<std::vector<long long>>& counts, long long n_ll) const {
-  LDPR_REQUIRE(static_cast<int>(counts.size()) == d(),
-               "counts width mismatch");
-  LDPR_REQUIRE(n_ll >= 1, "EstimateFromSupportCounts requires n >= 1");
-  const double n = static_cast<double>(n_ll);
-  const double dd = static_cast<double>(d());
-
-  std::vector<std::vector<double>> est(d());
-  for (int j = 0; j < d(); ++j) {
-    LDPR_REQUIRE(static_cast<int>(counts[j].size()) == domain_sizes_[j],
-                 "counts for attribute " << j << " have wrong length");
-    const double kj = domain_sizes_[j];
-    const double pj = p(j);
-    const double qj = q(j);
-    est[j].resize(domain_sizes_[j]);
-    for (int v = 0; v < domain_sizes_[j]; ++v) {
-      const double c = static_cast<double>(counts[j][v]);
-      if (choices_[j] == RsFdVariant::kGrr) {
-        est[j][v] =
-            (c * dd * kj - n * (dd - 1.0 + qj * kj)) / (n * kj * (pj - qj));
-      } else {
-        est[j][v] = dd * (c - n * qj) / (n * (pj - qj));
-      }
-    }
-  }
-  return est;
+  return column(attribute).payload == FakePayload::kGrr ? RsFdVariant::kGrr
+                                                         : RsFdVariant::kOueZ;
 }
 
 }  // namespace ldpr::multidim

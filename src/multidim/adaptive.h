@@ -64,48 +64,17 @@ class SmpAdaptive {
 /// uses AdaptiveRsFdChoice(k_j, d, epsilon). Sampled values are sanitized at
 /// the amplified budget with the chosen randomizer; fake data follows the
 /// chosen variant's procedure (uniform value for GRR attributes, OUE on a
-/// zero vector for OUE-z attributes).
+/// zero vector for OUE-z attributes), and each attribute is estimated with
+/// its variant's RS+FD estimator.
 ///
 /// Reports populate `values[j]` for GRR attributes (with `bits[j]` empty)
 /// and `bits[j]` for OUE-z attributes (with `values[j] = -1`).
-class RsFdAdaptive {
+class RsFdAdaptive : public FakeData {
  public:
   RsFdAdaptive(std::vector<int> domain_sizes, double epsilon);
 
-  MultidimReport RandomizeUser(const std::vector<int>& record, Rng& rng) const;
-  MultidimReport RandomizeUserWithAttribute(const std::vector<int>& record,
-                                            int sampled_attribute,
-                                            Rng& rng) const;
-
-  /// Per-attribute unbiased estimates (RS+FD[GRR] / RS+FD[UE-z] estimators,
-  /// dispatched on the per-attribute choice).
-  std::vector<std::vector<double>> Estimate(
-      const std::vector<MultidimReport>& reports) const;
-
-  /// The per-attribute estimators applied to pre-accumulated support counts
-  /// over n reports — the streaming/closed-form half of Estimate.
-  std::vector<std::vector<double>> EstimateFromSupportCounts(
-      const std::vector<std::vector<long long>>& counts, long long n) const;
-
   /// The RS+FD variant chosen for attribute j (kGrr or kOueZ).
   RsFdVariant choice(int attribute) const;
-
-  int d() const { return static_cast<int>(domain_sizes_.size()); }
-  const std::vector<int>& domain_sizes() const { return domain_sizes_; }
-  double epsilon() const { return epsilon_; }
-  double amplified_epsilon() const { return amplified_epsilon_; }
-
-  /// Randomizer probabilities at the amplified budget for attribute j.
-  double p(int attribute) const;
-  double q(int attribute) const;
-
- private:
-  std::vector<int> domain_sizes_;
-  double epsilon_;
-  double amplified_epsilon_;
-  std::vector<RsFdVariant> choices_;
-  double oue_p_ = 0.0;
-  double oue_q_ = 0.0;
 };
 
 }  // namespace ldpr::multidim

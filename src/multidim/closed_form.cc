@@ -66,116 +66,57 @@ void AddSampledSupportCounts(const std::vector<long long>& sub, long long m,
   }
 }
 
-/// Fake-data counts for one attribute: `fakes` users draw a fake value from
-/// `weights` (uniform for RS+FD, the prior f~ for RS+RFD). GRR payloads emit
-/// the value itself (one multinomial); UE payloads one-hot it and perturb
-/// (multinomial over hot positions, then per-bit binomials). UE-z payloads
-/// perturb the all-zero vector: Binomial(fakes, q) per bit.
-void AddFakeCounts(long long fakes, bool ue_payload, bool zero_vector,
-                   double p, double q, const std::vector<double>& weights,
+/// Fake-data counts for one attribute: `fakes` users draw a fake input from
+/// the column's source. GRR payloads emit the value itself (one
+/// multinomial); UE payloads one-hot it and perturb (multinomial over hot
+/// positions, then per-bit binomials). Zero-vector fakes perturb the
+/// all-zero vector: Binomial(fakes, q) per bit. Uniform sources weigh every
+/// value 1.0 (the weights the pinned fast-profile streams were drawn with).
+void AddFakeCounts(long long fakes, const FakeData& protocol, int j,
                    Rng& rng, std::vector<long long>* counts) {
   if (fakes <= 0) return;
+  const FakeData::Column& column = protocol.column(j);
   const int k = static_cast<int>(counts->size());
-  if (!ue_payload) {
-    const std::vector<long long> draw = SampleMultinomial(fakes, weights, rng);
+  if (column.source == FakeSource::kZero) {
+    for (int v = 0; v < k; ++v) {
+      (*counts)[v] += rng.Binomial64(fakes, column.q);
+    }
+    return;
+  }
+  std::vector<double> weights(k, 1.0);
+  if (column.source == FakeSource::kPrior) {
+    for (int v = 0; v < k; ++v) weights[v] = protocol.FakeMass(j, v);
+  }
+  const std::vector<long long> draw = SampleMultinomial(fakes, weights, rng);
+  if (column.payload == FakePayload::kGrr) {
     for (int v = 0; v < k; ++v) (*counts)[v] += draw[v];
     return;
   }
-  if (zero_vector) {
-    for (int v = 0; v < k; ++v) (*counts)[v] += rng.Binomial64(fakes, q);
-    return;
-  }
-  const std::vector<long long> hot = SampleMultinomial(fakes, weights, rng);
-  AddSampledSupportCounts(hot, fakes, p, q, rng, counts);
-}
-
-std::vector<double> UniformWeights(int k) {
-  return std::vector<double>(k, 1.0);
+  AddSampledSupportCounts(draw, fakes, column.p, column.q, rng, counts);
 }
 
 }  // namespace
 
 std::vector<std::vector<long long>> SampleSupportCounts(
-    const RsFd& protocol, const AttributeHistograms& hists, long long n,
+    const FakeData& protocol, const AttributeHistograms& hists, long long n,
     Rng& rng) {
   CheckHistograms(hists, protocol.domain_sizes(), n);
   const int d = protocol.d();
-  const bool ue = IsUeVariant(protocol.variant());
-  const bool zero = IsZeroFakeVariant(protocol.variant());
-  std::vector<std::vector<long long>> counts(d);
-  std::vector<long long> sub;
-  for (int j = 0; j < d; ++j) {
-    const int kj = protocol.domain_sizes()[j];
-    counts[j].assign(kj, 0);
-    const long long m = ThinByAttributeSampling(hists[j], d, rng, &sub);
-    const double pj = protocol.p(j);
-    const double qj = protocol.q(j);
-    AddSampledSupportCounts(sub, m, pj, qj, rng, &counts[j]);
-    AddFakeCounts(n - m, ue, zero, pj, qj, UniformWeights(kj), rng,
-                  &counts[j]);
-  }
-  return counts;
-}
-
-std::vector<std::vector<long long>> SampleSupportCounts(
-    const RsRfd& protocol, const AttributeHistograms& hists, long long n,
-    Rng& rng) {
-  CheckHistograms(hists, protocol.domain_sizes(), n);
-  const int d = protocol.d();
-  const bool ue = protocol.variant() != RsRfdVariant::kGrr;
   std::vector<std::vector<long long>> counts(d);
   std::vector<long long> sub;
   for (int j = 0; j < d; ++j) {
     counts[j].assign(protocol.domain_sizes()[j], 0);
     const long long m = ThinByAttributeSampling(hists[j], d, rng, &sub);
-    const double pj = protocol.p(j);
-    const double qj = protocol.q(j);
-    AddSampledSupportCounts(sub, m, pj, qj, rng, &counts[j]);
-    // Realistic fakes: one draw from the attribute's prior f~ per fake user.
-    AddFakeCounts(n - m, ue, /*zero_vector=*/false, pj, qj,
-                  protocol.priors()[j], rng, &counts[j]);
-  }
-  return counts;
-}
-
-std::vector<std::vector<long long>> SampleSupportCounts(
-    const RsFdAdaptive& protocol, const AttributeHistograms& hists,
-    long long n, Rng& rng) {
-  CheckHistograms(hists, protocol.domain_sizes(), n);
-  const int d = protocol.d();
-  std::vector<std::vector<long long>> counts(d);
-  std::vector<long long> sub;
-  for (int j = 0; j < d; ++j) {
-    const int kj = protocol.domain_sizes()[j];
-    counts[j].assign(kj, 0);
-    const long long m = ThinByAttributeSampling(hists[j], d, rng, &sub);
-    const double pj = protocol.p(j);
-    const double qj = protocol.q(j);
-    const bool ue = protocol.choice(j) != RsFdVariant::kGrr;  // kOueZ
-    AddSampledSupportCounts(sub, m, pj, qj, rng, &counts[j]);
-    AddFakeCounts(n - m, ue, /*zero_vector=*/true, pj, qj,
-                  UniformWeights(kj), rng, &counts[j]);
+    AddSampledSupportCounts(sub, m, protocol.p(j), protocol.q(j), rng,
+                            &counts[j]);
+    AddFakeCounts(n - m, protocol, j, rng, &counts[j]);
   }
   return counts;
 }
 
 std::vector<std::vector<double>> EstimateClosedForm(
-    const RsFd& protocol, const AttributeHistograms& hists, long long n,
+    const FakeData& protocol, const AttributeHistograms& hists, long long n,
     Rng& rng) {
-  return protocol.EstimateFromSupportCounts(
-      SampleSupportCounts(protocol, hists, n, rng), n);
-}
-
-std::vector<std::vector<double>> EstimateClosedForm(
-    const RsRfd& protocol, const AttributeHistograms& hists, long long n,
-    Rng& rng) {
-  return protocol.EstimateFromSupportCounts(
-      SampleSupportCounts(protocol, hists, n, rng), n);
-}
-
-std::vector<std::vector<double>> EstimateClosedForm(
-    const RsFdAdaptive& protocol, const AttributeHistograms& hists,
-    long long n, Rng& rng) {
   return protocol.EstimateFromSupportCounts(
       SampleSupportCounts(protocol, hists, n, rng), n);
 }

@@ -35,6 +35,7 @@
 
 #include "core/rng.h"
 #include "multidim/adaptive.h"
+#include "multidim/fake_data.h"
 #include "multidim/rsfd.h"
 #include "multidim/rsrfd.h"
 #include "multidim/smp.h"
@@ -47,34 +48,20 @@ namespace ldpr::multidim {
 /// the dataset-facing builder (sim::AttributeHistograms).
 using AttributeHistograms = std::vector<std::vector<long long>>;
 
-/// Draws the aggregate RS+FD support counts of n users summarized by
-/// `hists` — the closed-form counterpart of accumulating n
-/// RandomizeUser outputs (per attribute distribution-exact, see above).
+/// Draws the aggregate support counts of n users summarized by `hists`
+/// through a fake-data solution (RS+FD, RS+RFD or either adaptive variant)
+/// — the closed-form counterpart of accumulating n RandomizeUser outputs
+/// (per attribute distribution-exact, see above). Each attribute follows
+/// its column: the payload's p / q and the fake source's distribution.
 std::vector<std::vector<long long>> SampleSupportCounts(
-    const RsFd& protocol, const AttributeHistograms& hists, long long n,
+    const FakeData& protocol, const AttributeHistograms& hists, long long n,
     Rng& rng);
-
-/// RS+RFD counterpart: fake data follows the protocol's priors f~.
-std::vector<std::vector<long long>> SampleSupportCounts(
-    const RsRfd& protocol, const AttributeHistograms& hists, long long n,
-    Rng& rng);
-
-/// RS+FD[ADP] counterpart: per-attribute GRR / OUE-z dispatch.
-std::vector<std::vector<long long>> SampleSupportCounts(
-    const RsFdAdaptive& protocol, const AttributeHistograms& hists,
-    long long n, Rng& rng);
 
 /// Closed-form per-attribute frequency estimates: SampleSupportCounts
 /// composed with the solution's EstimateFromSupportCounts.
 std::vector<std::vector<double>> EstimateClosedForm(
-    const RsFd& protocol, const AttributeHistograms& hists, long long n,
+    const FakeData& protocol, const AttributeHistograms& hists, long long n,
     Rng& rng);
-std::vector<std::vector<double>> EstimateClosedForm(
-    const RsRfd& protocol, const AttributeHistograms& hists, long long n,
-    Rng& rng);
-std::vector<std::vector<double>> EstimateClosedForm(
-    const RsFdAdaptive& protocol, const AttributeHistograms& hists,
-    long long n, Rng& rng);
 
 /// SPL: every user reports every attribute at eps/d, so attribute j is one
 /// full fo closed-form collection over hists[j].

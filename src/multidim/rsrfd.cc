@@ -1,11 +1,8 @@
 #include "multidim/rsrfd.h"
 
-#include <cmath>
+#include <utility>
 
 #include "core/check.h"
-#include "fo/grr.h"
-#include "fo/unary_encoding.h"
-#include "multidim/amplification.h"
 
 namespace ldpr::multidim {
 
@@ -23,212 +20,15 @@ const char* RsRfdVariantName(RsRfdVariant variant) {
 
 RsRfd::RsRfd(RsRfdVariant variant, std::vector<int> domain_sizes,
              double epsilon, std::vector<std::vector<double>> priors)
-    : variant_(variant),
-      domain_sizes_(std::move(domain_sizes)),
-      epsilon_(epsilon) {
-  LDPR_REQUIRE(domain_sizes_.size() >= 2,
-               "RS+RFD targets multidimensional data (d >= 2)");
-  LDPR_REQUIRE(epsilon > 0.0, "RS+RFD requires epsilon > 0");
-  LDPR_REQUIRE(priors.size() == domain_sizes_.size(),
-               "need one prior distribution per attribute");
-  amplified_epsilon_ = AmplifiedEpsilon(epsilon_, d());
-
-  priors_.reserve(priors.size());
-  prior_samplers_.reserve(priors.size());
-  for (std::size_t j = 0; j < priors.size(); ++j) {
-    LDPR_REQUIRE(static_cast<int>(priors[j].size()) == domain_sizes_[j],
-                 "prior for attribute " << j << " has wrong length");
-    priors_.push_back(Normalize(priors[j]));
-    prior_samplers_.emplace_back(priors_.back());
-  }
-
-  switch (variant_) {
-    case RsRfdVariant::kGrr:
-      break;
-    case RsRfdVariant::kSueR:
-      ue_p_ = fo::Sue::PForEpsilon(amplified_epsilon_);
-      ue_q_ = fo::Sue::QForEpsilon(amplified_epsilon_);
-      break;
-    case RsRfdVariant::kOueR:
-      ue_p_ = fo::Oue::PForEpsilon(amplified_epsilon_);
-      ue_q_ = fo::Oue::QForEpsilon(amplified_epsilon_);
-      break;
-  }
-}
-
-double RsRfd::p(int attribute) const {
-  LDPR_REQUIRE(attribute >= 0 && attribute < d(), "attribute out of range");
-  if (variant_ != RsRfdVariant::kGrr) return ue_p_;
-  const double e = std::exp(amplified_epsilon_);
-  return e / (e + domain_sizes_[attribute] - 1);
-}
-
-double RsRfd::q(int attribute) const {
-  LDPR_REQUIRE(attribute >= 0 && attribute < d(), "attribute out of range");
-  if (variant_ != RsRfdVariant::kGrr) return ue_q_;
-  return (1.0 - p(attribute)) / (domain_sizes_[attribute] - 1);
-}
-
-MultidimReport RsRfd::RandomizeUser(const std::vector<int>& record,
-                                    Rng& rng) const {
-  LDPR_REQUIRE(static_cast<int>(record.size()) == d(),
-               "record has " << record.size() << " values, expected " << d());
-  MultidimReport out;
-  out.sampled_attribute = static_cast<int>(rng.UniformInt(d()));
-
-  if (variant_ == RsRfdVariant::kGrr) {
-    out.values.resize(d());
-    for (int j = 0; j < d(); ++j) {
-      if (j == out.sampled_attribute) {
-        out.values[j] = fo::Grr::Perturb(record[j], domain_sizes_[j],
-                                         amplified_epsilon_, rng);
-      } else {
-        // Realistic fake value: one draw from the attribute's prior
-        // (Algorithm 1, line 6). Not perturbed, like RS+FD's uniform fakes.
-        out.values[j] = prior_samplers_[j].Sample(rng);
-      }
-    }
-    return out;
-  }
-
-  out.bits.resize(d());
-  for (int j = 0; j < d(); ++j) {
-    const int kj = domain_sizes_[j];
-    std::vector<std::uint8_t> input;
-    if (j == out.sampled_attribute) {
-      input = fo::UnaryEncoding::OneHot(record[j], kj);
-    } else {
-      // UE-r with realistic fakes: one-hot of a prior-distributed draw.
-      input = fo::UnaryEncoding::OneHot(prior_samplers_[j].Sample(rng), kj);
-    }
-    out.bits[j] = fo::UnaryEncoding::PerturbBits(input, ue_p_, ue_q_, rng);
-  }
-  return out;
-}
-
-std::vector<std::vector<double>> RsRfd::Estimate(
-    const std::vector<MultidimReport>& reports) const {
-  LDPR_REQUIRE(!reports.empty(), "Estimate requires at least one report");
-
-  // Support counting is identical to RS+FD's for the matching payload shape.
-  std::vector<std::vector<long long>> counts(d());
-  for (int j = 0; j < d(); ++j) counts[j].assign(domain_sizes_[j], 0);
-  for (const MultidimReport& r : reports) {
-    if (variant_ == RsRfdVariant::kGrr) {
-      LDPR_REQUIRE(static_cast<int>(r.values.size()) == d(),
-                   "report width mismatch");
-      for (int j = 0; j < d(); ++j) ++counts[j][r.values[j]];
-    } else {
-      LDPR_REQUIRE(static_cast<int>(r.bits.size()) == d(),
-                   "report width mismatch");
-      for (int j = 0; j < d(); ++j) {
-        for (int v = 0; v < domain_sizes_[j]; ++v) {
-          if (r.bits[j][v]) ++counts[j][v];
-        }
-      }
-    }
-  }
-  return EstimateFromSupportCounts(counts,
-                                   static_cast<long long>(reports.size()));
-}
-
-std::vector<std::vector<double>> RsRfd::EstimateFromSupportCounts(
-    const std::vector<std::vector<long long>>& counts, long long n_ll) const {
-  LDPR_REQUIRE(static_cast<int>(counts.size()) == d(),
-               "counts width mismatch");
-  LDPR_REQUIRE(n_ll >= 1, "EstimateFromSupportCounts requires n >= 1");
-  const double n = static_cast<double>(n_ll);
-  const double dd = static_cast<double>(d());
-
-  std::vector<std::vector<double>> est(d());
-  for (int j = 0; j < d(); ++j) {
-    LDPR_REQUIRE(static_cast<int>(counts[j].size()) == domain_sizes_[j],
-                 "counts for attribute " << j << " have wrong length");
-    const double pj = p(j);
-    const double qj = q(j);
-    est[j].resize(domain_sizes_[j]);
-    for (int v = 0; v < domain_sizes_[j]; ++v) {
-      const double c = static_cast<double>(counts[j][v]);
-      const double prior = priors_[j][v];
-      if (variant_ == RsRfdVariant::kGrr) {
-        // Eq. (6): fhat = (d C - n(q + (d-1) f~)) / (n (p - q)).
-        est[j][v] =
-            (dd * c - n * (qj + (dd - 1.0) * prior)) / (n * (pj - qj));
-      } else {
-        // Eq. (7): fhat = (d C - n(q + (p-q)(d-1) f~ + q(d-1)))
-        //                 / (n (p - q)).
-        est[j][v] = (dd * c - n * (qj + (pj - qj) * (dd - 1.0) * prior +
-                                   qj * (dd - 1.0))) /
-                    (n * (pj - qj));
-      }
-    }
-  }
-  return est;
-}
-
-RsRfd::StreamAggregator::StreamAggregator(const RsRfd& rsrfd)
-    : rsrfd_(rsrfd) {
-  counts_.resize(rsrfd.d());
-  for (int j = 0; j < rsrfd.d(); ++j) {
-    counts_[j].assign(rsrfd.domain_sizes_[j], 0);
-  }
-}
-
-void RsRfd::StreamAggregator::AccumulateRecord(const std::vector<int>& record,
-                                               Rng& rng) {
-  const RsRfd& rfd = rsrfd_;
-  const int d = rfd.d();
-  LDPR_REQUIRE(static_cast<int>(record.size()) == d,
-               "record has " << record.size() << " values, expected " << d);
-  // Mirrors RandomizeUser (Algorithm 1) draw for draw — bit-identical
-  // stream — folding each payload column straight into the counts.
-  const int sampled = static_cast<int>(rng.UniformInt(d));
-
-  if (rfd.variant_ == RsRfdVariant::kGrr) {
-    for (int j = 0; j < d; ++j) {
-      if (j == sampled) {
-        ++counts_[j][fo::Grr::Perturb(record[j], rfd.domain_sizes_[j],
-                                      rfd.amplified_epsilon_, rng)];
-      } else {
-        ++counts_[j][rfd.prior_samplers_[j].Sample(rng)];
-      }
-    }
-    ++n_;
-    return;
-  }
-
-  for (int j = 0; j < d; ++j) {
-    const int kj = rfd.domain_sizes_[j];
-    int hot;
-    if (j == sampled) {
-      LDPR_REQUIRE(record[j] >= 0 && record[j] < kj,
-                   "record value out of range");
-      hot = record[j];
-    } else {
-      hot = rfd.prior_samplers_[j].Sample(rng);
-    }
-    for (int v = 0; v < kj; ++v) {
-      if (rng.Bernoulli(v == hot ? rfd.ue_p_ : rfd.ue_q_)) ++counts_[j][v];
-    }
-  }
-  ++n_;
-}
-
-void RsRfd::StreamAggregator::Merge(const StreamAggregator& other) {
-  LDPR_REQUIRE(counts_.size() == other.counts_.size(),
-               "cannot merge RS+RFD aggregators of different widths");
-  for (std::size_t j = 0; j < counts_.size(); ++j) {
-    LDPR_REQUIRE(counts_[j].size() == other.counts_[j].size(),
-                 "cannot merge RS+RFD aggregators of different domains");
-    for (std::size_t v = 0; v < counts_[j].size(); ++v) {
-      counts_[j][v] += other.counts_[j][v];
-    }
-  }
-  n_ += other.n_;
-}
-
-std::vector<std::vector<double>> RsRfd::StreamAggregator::Estimate() const {
-  return rsrfd_.EstimateFromSupportCounts(counts_, n_);
+    : FakeData(std::move(domain_sizes), epsilon, std::move(priors),
+               ReportShape::kOnePayload),
+      variant_(variant) {
+  LDPR_REQUIRE(!priors_.empty(), "need one prior distribution per attribute");
+  const FakePayload payload = variant == RsRfdVariant::kGrr ? FakePayload::kGrr
+                              : variant == RsRfdVariant::kSueR
+                                  ? FakePayload::kSue
+                                  : FakePayload::kOue;
+  for (int j = 0; j < d(); ++j) AddColumn(payload, FakeSource::kPrior);
 }
 
 double RsRfd::Gamma(int attribute, int value, double f) const {
@@ -247,7 +47,7 @@ double RsRfd::Gamma(int attribute, int value, double f) const {
 double RsRfd::EstimatorVariance(int attribute, int value, long long n,
                                 double f) const {
   LDPR_REQUIRE(attribute >= 0 && attribute < d(), "attribute out of range");
-  LDPR_REQUIRE(value >= 0 && value < domain_sizes_[attribute],
+  LDPR_REQUIRE(value >= 0 && value < domain_sizes()[attribute],
                "value out of range");
   LDPR_REQUIRE(n >= 1, "EstimatorVariance requires n >= 1");
   const double dd = static_cast<double>(d());

@@ -3,7 +3,6 @@
 
 #include <vector>
 
-#include "core/sampling.h"
 #include "multidim/rsfd.h"
 
 namespace ldpr::multidim {
@@ -25,57 +24,22 @@ const char* RsRfdVariantName(RsRfdVariant variant);
 /// distribution, which (a) lets fake data contribute signal to the estimate
 /// and (b) removes the uniform-vs-skewed discrepancy the AIF classifier
 /// exploits. Estimators are Eq. (6) for GRR and Eq. (7) for UE-r; with
-/// uniform priors both reduce exactly to the RS+FD estimators.
+/// uniform priors both reduce exactly to the RS+FD estimators. Every
+/// attribute is one FakeData column with prior fakes.
 ///
-/// Privacy caveat (characterized in multidim_ldp_bound_test and
-/// EXPERIMENTS.md): the paper's eps-LDP analysis is exact for *uniform*
-/// fake data; non-uniform priors break the branch cancellation behind the
-/// e^eps tuple bound, and the realized worst-case guarantee for
-/// single-attribute neighbours degrades from eps toward the amplified
-/// eps' as prior masses approach zero. Deployments with extreme priors
-/// should budget accordingly (e.g. floor the prior masses).
-class RsRfd {
+/// Privacy caveat (characterized in multidim_ldp_bound_test,
+/// RsRfdSkewedPriorsDegradeTheTupleBound): the paper's eps-LDP analysis is
+/// exact for *uniform* fake data; non-uniform priors break the branch
+/// cancellation behind the e^eps tuple bound, and the realized worst-case
+/// guarantee for single-attribute neighbours degrades from eps toward the
+/// amplified eps' as prior masses approach zero. Deployments with extreme
+/// priors should budget accordingly (e.g. floor the prior masses).
+class RsRfd : public FakeData {
  public:
   /// `priors[j]` is the prior distribution f~_j over [0, k_j); it is
   /// normalized internally.
   RsRfd(RsRfdVariant variant, std::vector<int> domain_sizes, double epsilon,
         std::vector<std::vector<double>> priors);
-
-  /// Client side (Algorithm 1).
-  MultidimReport RandomizeUser(const std::vector<int>& record, Rng& rng) const;
-
-  /// Server side: unbiased estimators Eq. (6) / Eq. (7).
-  std::vector<std::vector<double>> Estimate(
-      const std::vector<MultidimReport>& reports) const;
-
-  /// Eq. (6) / Eq. (7) applied to pre-accumulated support counts over n
-  /// reports — the streaming half of Estimate.
-  std::vector<std::vector<double>> EstimateFromSupportCounts(
-      const std::vector<std::vector<long long>>& counts, long long n) const;
-
-  /// Streaming shard state: per-attribute support counts accumulated
-  /// directly from fused client draws (Algorithm 1 run in place).
-  /// AccumulateRecord draws from `rng` exactly like RandomizeUser
-  /// (bit-identical stream) without materializing MultidimReports. Used by
-  /// sim::RunMultidim.
-  class StreamAggregator {
-   public:
-    explicit StreamAggregator(const RsRfd& rsrfd);
-
-    /// Fused client + server for one user (uniform attribute sampling).
-    void AccumulateRecord(const std::vector<int>& record, Rng& rng);
-    void Merge(const StreamAggregator& other);
-    std::vector<std::vector<double>> Estimate() const;
-    long long n() const { return n_; }
-    const std::vector<std::vector<long long>>& counts() const {
-      return counts_;
-    }
-
-   private:
-    const RsRfd& rsrfd_;
-    std::vector<std::vector<long long>> counts_;
-    long long n_ = 0;
-  };
 
   /// Closed-form estimator variance (Theorems 2 and 4) at true frequency f
   /// for value v of attribute j, over n users.
@@ -83,14 +47,7 @@ class RsRfd {
                            double f) const;
 
   RsRfdVariant variant() const { return variant_; }
-  int d() const { return static_cast<int>(domain_sizes_.size()); }
-  const std::vector<int>& domain_sizes() const { return domain_sizes_; }
-  double epsilon() const { return epsilon_; }
-  double amplified_epsilon() const { return amplified_epsilon_; }
   const std::vector<std::vector<double>>& priors() const { return priors_; }
-
-  double p(int attribute) const;
-  double q(int attribute) const;
 
  private:
   /// Probability that value v of attribute j is supported by one report
@@ -98,13 +55,6 @@ class RsRfd {
   double Gamma(int attribute, int value, double f) const;
 
   RsRfdVariant variant_;
-  std::vector<int> domain_sizes_;
-  double epsilon_;
-  double amplified_epsilon_;
-  std::vector<std::vector<double>> priors_;
-  std::vector<CategoricalSampler> prior_samplers_;
-  double ue_p_ = 0.0;
-  double ue_q_ = 0.0;
 };
 
 }  // namespace ldpr::multidim

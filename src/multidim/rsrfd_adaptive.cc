@@ -1,171 +1,35 @@
 #include "multidim/rsrfd_adaptive.h"
 
-#include <cmath>
 #include <utility>
 
 #include "core/check.h"
-#include "fo/grr.h"
-#include "fo/unary_encoding.h"
-#include "multidim/amplification.h"
 
 namespace ldpr::multidim {
 
 RsRfdAdaptive::RsRfdAdaptive(std::vector<int> domain_sizes, double epsilon,
                              std::vector<std::vector<double>> priors)
-    : domain_sizes_(std::move(domain_sizes)),
-      epsilon_(epsilon),
-      priors_(std::move(priors)) {
-  LDPR_REQUIRE(domain_sizes_.size() >= 2,
-               "RS+RFD targets multidimensional data (d >= 2), got d="
-                   << domain_sizes_.size());
-  LDPR_REQUIRE(epsilon > 0, "epsilon must be positive, got " << epsilon);
-  LDPR_REQUIRE(priors_.size() == domain_sizes_.size(),
-               "need one prior distribution per attribute");
-  for (std::size_t j = 0; j < priors_.size(); ++j) {
-    LDPR_REQUIRE(domain_sizes_[j] >= 2,
-                 "every attribute needs domain size >= 2");
-    LDPR_REQUIRE(static_cast<int>(priors_[j].size()) == domain_sizes_[j],
-                 "prior " << j << " width mismatch");
-    double sum = 0.0;
-    for (double f : priors_[j]) {
-      LDPR_REQUIRE(f >= 0, "priors must be non-negative");
-      sum += f;
-    }
-    LDPR_REQUIRE(sum > 0, "prior " << j << " must have positive mass");
-    for (double& f : priors_[j]) f /= sum;
-  }
-  amplified_epsilon_ = AmplifiedEpsilon(epsilon_, d());
-  oue_p_ = fo::Oue::PForEpsilon(amplified_epsilon_);
-  oue_q_ = fo::Oue::QForEpsilon(amplified_epsilon_);
-
-  prior_samplers_.reserve(priors_.size());
-  for (const auto& prior : priors_) {
-    prior_samplers_.emplace_back(prior);
-  }
-
+    : FakeData(std::move(domain_sizes), epsilon, std::move(priors),
+               ReportShape::kPerColumn) {
+  LDPR_REQUIRE(!priors_.empty(), "need one prior distribution per attribute");
   // Choice rule: per attribute, the smaller prior-weighted mean approximate
   // variance (f = 0) between the two RS+RFD candidates. Delegated to the
   // fixed protocols' tested closed forms.
-  RsRfd grr(RsRfdVariant::kGrr, domain_sizes_, epsilon_, priors_);
-  RsRfd ouer(RsRfdVariant::kOueR, domain_sizes_, epsilon_, priors_);
-  choices_.reserve(domain_sizes_.size());
+  RsRfd grr(RsRfdVariant::kGrr, this->domain_sizes(), epsilon, priors_);
+  RsRfd ouer(RsRfdVariant::kOueR, this->domain_sizes(), epsilon, priors_);
   for (int j = 0; j < d(); ++j) {
     double grr_var = 0.0, ouer_var = 0.0;
-    for (int v = 0; v < domain_sizes_[j]; ++v) {
+    for (int v = 0; v < this->domain_sizes()[j]; ++v) {
       grr_var += grr.EstimatorVariance(j, v, /*n=*/1, /*f=*/0.0);
       ouer_var += ouer.EstimatorVariance(j, v, /*n=*/1, /*f=*/0.0);
     }
-    choices_.push_back(grr_var <= ouer_var ? RsRfdVariant::kGrr
-                                           : RsRfdVariant::kOueR);
+    AddColumn(grr_var <= ouer_var ? FakePayload::kGrr : FakePayload::kOue,
+              FakeSource::kPrior);
   }
 }
 
 RsRfdVariant RsRfdAdaptive::choice(int attribute) const {
-  LDPR_REQUIRE(attribute >= 0 && attribute < d(), "attribute out of range");
-  return choices_[attribute];
-}
-
-double RsRfdAdaptive::p(int attribute) const {
-  LDPR_REQUIRE(attribute >= 0 && attribute < d(), "attribute out of range");
-  if (choices_[attribute] == RsRfdVariant::kOueR) return oue_p_;
-  const double e = std::exp(amplified_epsilon_);
-  return e / (e + domain_sizes_[attribute] - 1);
-}
-
-double RsRfdAdaptive::q(int attribute) const {
-  LDPR_REQUIRE(attribute >= 0 && attribute < d(), "attribute out of range");
-  if (choices_[attribute] == RsRfdVariant::kOueR) return oue_q_;
-  return (1.0 - p(attribute)) / (domain_sizes_[attribute] - 1);
-}
-
-MultidimReport RsRfdAdaptive::RandomizeUser(const std::vector<int>& record,
-                                            Rng& rng) const {
-  return RandomizeUserWithAttribute(
-      record, static_cast<int>(rng.UniformInt(d())), rng);
-}
-
-MultidimReport RsRfdAdaptive::RandomizeUserWithAttribute(
-    const std::vector<int>& record, int sampled_attribute, Rng& rng) const {
-  LDPR_REQUIRE(static_cast<int>(record.size()) == d(),
-               "record has " << record.size() << " values, expected " << d());
-  LDPR_REQUIRE(sampled_attribute >= 0 && sampled_attribute < d(),
-               "sampled attribute out of range");
-  MultidimReport out;
-  out.sampled_attribute = sampled_attribute;
-  out.values.assign(d(), -1);
-  out.bits.resize(d());
-  for (int j = 0; j < d(); ++j) {
-    const int kj = domain_sizes_[j];
-    if (choices_[j] == RsRfdVariant::kGrr) {
-      if (j == sampled_attribute) {
-        out.values[j] =
-            fo::Grr::Perturb(record[j], kj, amplified_epsilon_, rng);
-      } else {
-        // Realistic fake value drawn from the prior (Alg. 1, line 6).
-        out.values[j] = prior_samplers_[j].Sample(rng);
-      }
-    } else {
-      std::vector<std::uint8_t> input;
-      if (j == sampled_attribute) {
-        input = fo::UnaryEncoding::OneHot(record[j], kj);
-      } else {
-        input =
-            fo::UnaryEncoding::OneHot(prior_samplers_[j].Sample(rng), kj);
-      }
-      out.bits[j] = fo::UnaryEncoding::PerturbBits(input, oue_p_, oue_q_, rng);
-    }
-  }
-  return out;
-}
-
-std::vector<std::vector<double>> RsRfdAdaptive::Estimate(
-    const std::vector<MultidimReport>& reports) const {
-  LDPR_REQUIRE(!reports.empty(), "Estimate requires at least one report");
-  const double n = static_cast<double>(reports.size());
-  const double dd = static_cast<double>(d());
-
-  std::vector<std::vector<long long>> counts(d());
-  for (int j = 0; j < d(); ++j) counts[j].assign(domain_sizes_[j], 0);
-  for (const MultidimReport& r : reports) {
-    LDPR_REQUIRE(static_cast<int>(r.values.size()) == d() &&
-                     static_cast<int>(r.bits.size()) == d(),
-                 "adaptive report width mismatch");
-    for (int j = 0; j < d(); ++j) {
-      if (choices_[j] == RsRfdVariant::kGrr) {
-        LDPR_REQUIRE(r.values[j] >= 0 && r.values[j] < domain_sizes_[j],
-                     "report value out of range");
-        ++counts[j][r.values[j]];
-      } else {
-        LDPR_REQUIRE(static_cast<int>(r.bits[j].size()) == domain_sizes_[j],
-                     "report bit-vector length mismatch");
-        for (int v = 0; v < domain_sizes_[j]; ++v) {
-          if (r.bits[j][v]) ++counts[j][v];
-        }
-      }
-    }
-  }
-
-  std::vector<std::vector<double>> est(d());
-  for (int j = 0; j < d(); ++j) {
-    const double pj = p(j);
-    const double qj = q(j);
-    est[j].resize(domain_sizes_[j]);
-    for (int v = 0; v < domain_sizes_[j]; ++v) {
-      const double c = static_cast<double>(counts[j][v]);
-      const double prior = priors_[j][v];
-      if (choices_[j] == RsRfdVariant::kGrr) {
-        // Eq. (6): fhat = (dC - n(q + (d-1) f~)) / (n (p - q)).
-        est[j][v] =
-            (dd * c - n * (qj + (dd - 1.0) * prior)) / (n * (pj - qj));
-      } else {
-        // Eq. (7): fhat = (dC - n(q + (p-q)(d-1) f~ + q(d-1))) / (n (p-q)).
-        est[j][v] = (dd * c - n * (qj + (pj - qj) * (dd - 1.0) * prior +
-                                   qj * (dd - 1.0))) /
-                    (n * (pj - qj));
-      }
-    }
-  }
-  return est;
+  return column(attribute).payload == FakePayload::kGrr ? RsRfdVariant::kGrr
+                                                         : RsRfdVariant::kOueR;
 }
 
 }  // namespace ldpr::multidim

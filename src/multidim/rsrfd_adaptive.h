@@ -3,7 +3,6 @@
 
 #include <vector>
 
-#include "core/sampling.h"
 #include "multidim/rsrfd.h"
 
 namespace ldpr::multidim {
@@ -19,46 +18,19 @@ namespace ldpr::multidim {
 /// RS+FD[ADP]'s rule, skewed priors can flip the choice per attribute).
 /// Unlike RS+FD[ADP], both candidate randomizers keep fake data realistic,
 /// so the adaptive configuration does not inherit the UE-z attack surface
-/// (bench abl08).
-class RsRfdAdaptive {
+/// (bench abl08). Attributes are estimated with Eq. (6) (GRR) or Eq. (7)
+/// (OUE-r); reports have RS+FD[ADP]'s per-attribute layout.
+class RsRfdAdaptive : public FakeData {
  public:
   /// `priors[j]` is the prior distribution f~_j over [0, k_j), normalized
   /// internally.
   RsRfdAdaptive(std::vector<int> domain_sizes, double epsilon,
                 std::vector<std::vector<double>> priors);
 
-  MultidimReport RandomizeUser(const std::vector<int>& record, Rng& rng) const;
-  MultidimReport RandomizeUserWithAttribute(const std::vector<int>& record,
-                                            int sampled_attribute,
-                                            Rng& rng) const;
-
-  /// Per-attribute unbiased estimates (Eq. 6 for GRR attributes, Eq. 7 for
-  /// OUE-r attributes).
-  std::vector<std::vector<double>> Estimate(
-      const std::vector<MultidimReport>& reports) const;
-
   /// The RS+RFD variant chosen for attribute j (kGrr or kOueR).
   RsRfdVariant choice(int attribute) const;
 
-  int d() const { return static_cast<int>(domain_sizes_.size()); }
-  const std::vector<int>& domain_sizes() const { return domain_sizes_; }
-  double epsilon() const { return epsilon_; }
-  double amplified_epsilon() const { return amplified_epsilon_; }
   const std::vector<std::vector<double>>& priors() const { return priors_; }
-
-  /// Randomizer probabilities at the amplified budget for attribute j.
-  double p(int attribute) const;
-  double q(int attribute) const;
-
- private:
-  std::vector<int> domain_sizes_;
-  double epsilon_;
-  double amplified_epsilon_;
-  std::vector<std::vector<double>> priors_;
-  std::vector<CategoricalSampler> prior_samplers_;
-  std::vector<RsRfdVariant> choices_;
-  double oue_p_ = 0.0;
-  double oue_q_ = 0.0;
 };
 
 }  // namespace ldpr::multidim

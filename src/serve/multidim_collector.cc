@@ -70,7 +70,7 @@ struct MultidimCollector::LaneState {
   /// tuple copy GRR values are extracted from (the tuple fits in the rows,
   /// which are followed by fo::bitslice::kRowTailSlack bytes).
   LineArray<std::uint8_t> rows;
-  /// RS+FD / RS+RFD: the support-count matrix of the StreamAggregators,
+  /// RS+FD / RS+RFD: the support-count matrix of FakeData's StreamAggregator,
   /// flat: attribute j's column starts at cell columns_[j].
   LineArray<long long> counts;
 };
@@ -97,19 +97,17 @@ MultidimCollector::MultidimCollector(const multidim::Smp& smp,
   Init(options.lanes);
 }
 
-MultidimCollector::MultidimCollector(const multidim::RsFd& rsfd,
+MultidimCollector::MultidimCollector(const multidim::FakeData& fd,
                                      const CollectorOptions& options)
-    : MultidimCollector(Kind::kRsFd, rsfd.domain_sizes()) {
-  rsfd_ = &rsfd;
-  ue_variant_ = multidim::IsUeVariant(rsfd.variant());
-  Init(options.lanes);
-}
-
-MultidimCollector::MultidimCollector(const multidim::RsRfd& rsrfd,
-                                     const CollectorOptions& options)
-    : MultidimCollector(Kind::kRsRfd, rsrfd.domain_sizes()) {
-  rsrfd_ = &rsrfd;
-  ue_variant_ = rsrfd.variant() != multidim::RsRfdVariant::kGrr;
+    : MultidimCollector(Kind::kFd, fd.domain_sizes()) {
+  fd_ = &fd;
+  ue_variant_ = fd.column(0).payload != multidim::FakePayload::kGrr;
+  for (int j = 0; j < d(); ++j) {
+    LDPR_REQUIRE((fd.column(j).payload != multidim::FakePayload::kGrr) ==
+                     ue_variant_,
+                 "the fake-data wire format needs one payload for every "
+                 "attribute");
+  }
   Init(options.lanes);
 }
 
@@ -118,7 +116,7 @@ const fo::FrequencyOracle& MultidimCollector::oracle(int j) const {
 }
 
 void MultidimCollector::Init(int lanes) {
-  const bool fd = kind_ == Kind::kRsFd || kind_ == Kind::kRsRfd;
+  const bool fd = kind_ == Kind::kFd;
   field_offsets_.assign(1, 0);
   row_offsets_.assign(1, 0);
   if (fd) columns_.assign(1, 0);
@@ -262,7 +260,7 @@ MultidimSnapshot MultidimCollector::Seal() {
   MultidimSnapshot snapshot;
   snapshot.epoch = next_epoch_++;
 
-  const bool fd = kind_ == Kind::kRsFd || kind_ == Kind::kRsRfd;
+  const bool fd = kind_ == Kind::kFd;
   std::vector<std::unique_ptr<fo::Aggregator>> merged;  // SPL/SMP
   std::vector<std::vector<long long>> counts(d());      // FD kinds
   for (int j = 0; j < d(); ++j) {
@@ -310,10 +308,7 @@ MultidimSnapshot MultidimCollector::Seal() {
       }
     }
   } else if (snapshot.n > 0) {
-    snapshot.estimates =
-        kind_ == Kind::kRsFd
-            ? rsfd_->EstimateFromSupportCounts(counts, snapshot.n)
-            : rsrfd_->EstimateFromSupportCounts(counts, snapshot.n);
+    snapshot.estimates = fd_->EstimateFromSupportCounts(counts, snapshot.n);
   }
 
   snapshot.stats = IngestStats::From(tallies, seconds);
@@ -344,17 +339,12 @@ privacy::LedgerReport MultidimCollector::MakeLedger(
       report = ledger.MakeReport();
       break;
     }
-    case Kind::kRsFd:
-    case Kind::kRsRfd: {
+    case Kind::kFd: {
       // The sampled attribute is hidden on the wire, so per-attribute
       // exposure is the expectation: n/d surveys sampled attribute j, each
       // randomized at the amplified budget.
-      const double epsilon =
-          kind_ == Kind::kRsFd ? rsfd_->epsilon() : rsrfd_->epsilon();
-      const double amplified = kind_ == Kind::kRsFd
-                                   ? rsfd_->amplified_epsilon()
-                                   : rsrfd_->amplified_epsilon();
-      report.total_epsilon = static_cast<double>(n) * epsilon;
+      const double amplified = fd_->amplified_epsilon();
+      report.total_epsilon = static_cast<double>(n) * fd_->epsilon();
       const double expected =
           static_cast<double>(n) / static_cast<double>(d()) * amplified;
       report.per_attribute.assign(d(), expected);

@@ -13,7 +13,7 @@
 // bitsliced AccumulateWireBlock kernel decodes it (SMP feeds only the
 // sampled attribute's). The fake-data solutions accumulate straight into a
 // flat support-count matrix — the same counts their StreamAggregators keep
-// — so sealing estimates via RsFd/RsRfd::EstimateFromSupportCounts. Ingest
+// — so sealing estimates via FakeData::EstimateFromSupportCounts. Ingest
 // is all-or-nothing: a malformed tuple is rejected without side effects
 // (SPL validates every attribute's row before staging any). As with the
 // scalar Collector, sealed results depend only on the multiset of accepted
@@ -57,9 +57,10 @@ class MultidimCollector final : public IngestSink {
                     const CollectorOptions& options = {});
   MultidimCollector(const multidim::Smp& smp,
                     const CollectorOptions& options = {});
-  MultidimCollector(const multidim::RsFd& rsfd,
-                    const CollectorOptions& options = {});
-  MultidimCollector(const multidim::RsRfd& rsrfd,
+  /// RS+FD / RS+RFD: every attribute must carry the same payload, since
+  /// the fake-data wire format has no per-attribute layout; an adaptive
+  /// solution whose choices mix GRR and UE is rejected.
+  MultidimCollector(const multidim::FakeData& fd,
                     const CollectorOptions& options = {});
 
   ~MultidimCollector() override;  // LaneState is incomplete here
@@ -85,7 +86,7 @@ class MultidimCollector final : public IngestSink {
   const std::vector<int>& domain_sizes() const { return domain_sizes_; }
 
  private:
-  enum class Kind { kSpl, kSmp, kRsFd, kRsRfd };
+  enum class Kind { kSpl, kSmp, kFd };
 
   struct LaneState;
   using Lane = serve::Lane<LaneState>;
@@ -116,8 +117,7 @@ class MultidimCollector final : public IngestSink {
   Kind kind_;
   const multidim::Spl* spl_ = nullptr;
   const multidim::Smp* smp_ = nullptr;
-  const multidim::RsFd* rsfd_ = nullptr;
-  const multidim::RsRfd* rsrfd_ = nullptr;
+  const multidim::FakeData* fd_ = nullptr;
 
   std::vector<int> domain_sizes_;
   bool ue_variant_ = false;         ///< FD kinds: unary-encoded payloads

@@ -35,8 +35,9 @@ multidim::AttributeHistograms BuildAttributeHistograms(
 
 /// One simulated collection round on the closed-form path, mirroring
 /// RunMultidim's signature: works for every Solution with an
-/// EstimateClosedForm overload (Spl, Smp, SmpAdaptive, RsFd, RsRfd,
-/// RsFdAdaptive). Prefer the hist-consuming overload inside grid loops.
+/// EstimateClosedForm overload (Spl, Smp, SmpAdaptive, and every
+/// multidim::FakeData solution: RsFd, RsRfd, RsFdAdaptive, RsRfdAdaptive).
+/// Prefer the hist-consuming overload inside grid loops.
 template <typename Solution>
 std::vector<std::vector<double>> RunMultidimClosedForm(
     const Solution& solution, const data::Dataset& dataset, Rng& rng) {

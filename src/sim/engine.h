@@ -84,8 +84,10 @@ CollectionResult RunCollection(const fo::FrequencyOracle& oracle,
                                const Options& options = {});
 
 /// Simulates a multidimensional collection with solution S (multidim::Spl,
-/// Smp, RsFd, RsRfd): shards the dataset's users, accumulates one
-/// S::StreamAggregator per shard, merges, and estimates. Streaming only —
+/// Smp, or a fake-data solution: RsFd, RsRfd, RsFdAdaptive, RsRfdAdaptive,
+/// which share multidim::FakeData::StreamAggregator): shards the dataset's
+/// users, accumulates one S::StreamAggregator per shard, merges, and
+/// estimates. Streaming only —
 /// the multidim estimators need per-user attribute sampling. Returns the
 /// per-attribute frequency estimates.
 template <typename Solution>

@@ -180,5 +180,23 @@ TEST(BayesAifTest, Validation) {
   EXPECT_THROW(attacker.PredictSampledAttribute(bad), InvalidArgumentError);
 }
 
+TEST(BayesAifTest, RejectsMalformedReports) {
+  const std::vector<std::vector<double>> marginals{{0.5, 0.3, 0.1, 0.1},
+                                                   {0.2, 0.2, 0.2, 0.2, 0.2}};
+  multidim::RsFd grr(multidim::RsFdVariant::kGrr, {4, 5}, 1.0);
+  BayesAifAttacker value_attacker(grr, marginals);
+  multidim::MultidimReport value;
+  value.values = {1, 5};  // outside [0, k_1)
+  EXPECT_THROW(value_attacker.PredictSampledAttribute(value),
+               InvalidArgumentError);
+
+  multidim::RsFd oue(multidim::RsFdVariant::kOueR, {4, 5}, 1.0);
+  BayesAifAttacker bits_attacker(oue, marginals);
+  multidim::MultidimReport bits;
+  bits.bits = {{0, 1, 0, 0}, {0, 0, 1, 0}};  // k_1 - 1 bits
+  EXPECT_THROW(bits_attacker.PredictSampledAttribute(bits),
+               InvalidArgumentError);
+}
+
 }  // namespace
 }  // namespace ldpr::attack

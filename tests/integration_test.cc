@@ -1,7 +1,8 @@
 // End-to-end pipelines mirroring the paper's figure configurations at
-// reduced scale. These are the "shape" checks of EXPERIMENTS.md in test
-// form: who wins, in which direction curves move, and where protections
-// kick in.
+// reduced scale. These are the figures' "shape" checks in test form: who
+// wins, in which direction curves move, and where protections kick in
+// (RS+RFD's realized privacy bound is characterized separately in
+// multidim_ldp_bound_test, RsRfdSkewedPriorsDegradeTheTupleBound).
 
 #include <cmath>
 

@@ -54,6 +54,25 @@ TEST(RsRfdTest, Validation) {
                InvalidArgumentError);
   EXPECT_THROW(RsRfd(RsRfdVariant::kGrr, k, 1.0, UniformPriors({4, 6})),
                InvalidArgumentError);
+  // A one-value domain has no GRR q (division by k - 1 = 0).
+  EXPECT_THROW(RsRfd(RsRfdVariant::kGrr, {1, 5}, 1.0, UniformPriors({1, 5})),
+               InvalidArgumentError);
+}
+
+TEST(RsRfdTest, EstimateRejectsMalformedReports) {
+  const std::vector<int> k{4, 5};
+  Rng rng(8);
+  RsRfd grr(RsRfdVariant::kGrr, k, 1.0, UniformPriors(k));
+  MultidimReport value = grr.RandomizeUser({1, 2}, rng);
+  value.values[1] = 5;  // outside [0, k_1)
+  EXPECT_THROW(grr.Estimate({value}), InvalidArgumentError);
+  value.values[1] = -1;
+  EXPECT_THROW(grr.Estimate({value}), InvalidArgumentError);
+
+  RsRfd oue(RsRfdVariant::kOueR, k, 1.0, UniformPriors(k));
+  MultidimReport bits = oue.RandomizeUser({1, 2}, rng);
+  bits.bits[1].pop_back();  // k_1 - 1 bits
+  EXPECT_THROW(oue.Estimate({bits}), InvalidArgumentError);
 }
 
 TEST(RsRfdTest, PointMassPriorForcesFakeValue) {
