@@ -114,6 +114,46 @@ BENCHMARK_CAPTURE(BM_ReidentAccuracy, sue, fo::Protocol::kSue)->UseRealTime();
 BENCHMARK_CAPTURE(BM_ReidentAccuracy, olh, fo::Protocol::kOlh)->UseRealTime();
 BENCHMARK_CAPTURE(BM_ReidentAccuracy, oue, fo::Protocol::kOue)->UseRealTime();
 
+// SMP profiling at BM_ReidentAccuracy's settings: Adult-like n = 9,044,
+// 5 surveys at eps = 4, uniform metric. BM_SmpProfiling is the step
+// exp::SmpReidentTrial runs (the flat log); BM_SmpSnapshots adds the
+// materialized per-prefix profiles of SimulateSmpProfiling. Items are
+// (user, survey) reports.
+void SmpProfilingBench(benchmark::State& state, fo::Protocol protocol,
+                       bool snapshots) {
+  const data::Dataset ds = data::AdultLike(4, 0.2);
+  Rng rng(6);
+  const attack::SurveyPlan plan = attack::MakeSurveyPlan(ds.d(), 5, rng);
+  auto channel = attack::MakeLdpChannel(protocol, ds.domain_sizes(), 4.0);
+  for (auto _ : state) {
+    Rng trial(7);
+    if (snapshots) {
+      auto profiles = attack::SimulateSmpProfiling(
+          ds, *channel, plan, attack::PrivacyMetricMode::kUniform, trial);
+      benchmark::DoNotOptimize(profiles);
+    } else {
+      auto log = attack::SimulateSmpProfileLog(
+          ds, *channel, plan, attack::PrivacyMetricMode::kUniform, trial);
+      benchmark::DoNotOptimize(log);
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * plan.num_surveys() *
+                          static_cast<std::int64_t>(ds.n()));
+}
+void BM_SmpProfiling(benchmark::State& state, fo::Protocol protocol) {
+  SmpProfilingBench(state, protocol, /*snapshots=*/false);
+}
+void BM_SmpSnapshots(benchmark::State& state, fo::Protocol protocol) {
+  SmpProfilingBench(state, protocol, /*snapshots=*/true);
+}
+BENCHMARK_CAPTURE(BM_SmpProfiling, grr, fo::Protocol::kGrr)->UseRealTime();
+BENCHMARK_CAPTURE(BM_SmpProfiling, ss, fo::Protocol::kSs)->UseRealTime();
+BENCHMARK_CAPTURE(BM_SmpProfiling, sue, fo::Protocol::kSue)->UseRealTime();
+BENCHMARK_CAPTURE(BM_SmpProfiling, olh, fo::Protocol::kOlh)->UseRealTime();
+BENCHMARK_CAPTURE(BM_SmpProfiling, oue, fo::Protocol::kOue)->UseRealTime();
+BENCHMARK_CAPTURE(BM_SmpSnapshots, grr, fo::Protocol::kGrr)->UseRealTime();
+BENCHMARK_CAPTURE(BM_SmpSnapshots, oue, fo::Protocol::kOue)->UseRealTime();
+
 void BM_LedgerSimulation(benchmark::State& state) {
   Rng rng(5);
   for (auto _ : state) {

@@ -40,9 +40,7 @@ class LdpChannel : public AttackChannel {
     LDPR_REQUIRE(attribute >= 0 &&
                      attribute < static_cast<int>(oracles_.size()),
                  "attribute out of range");
-    const fo::FrequencyOracle& oracle = *oracles_[attribute];
-    fo::Report r = oracle.Randomize(true_value, rng);
-    return oracle.AttackPredict(r, rng);
+    return oracles_[attribute]->RandomizeAndPredict(true_value, rng);
   }
 
  private:
@@ -71,9 +69,7 @@ class PieChannel : public AttackChannel {
                      attribute < static_cast<int>(oracles_.size()),
                  "attribute out of range");
     if (clear_text_[attribute]) return true_value;
-    const fo::FrequencyOracle& oracle = *oracles_[attribute];
-    fo::Report r = oracle.Randomize(true_value, rng);
-    return oracle.AttackPredict(r, rng);
+    return oracles_[attribute]->RandomizeAndPredict(true_value, rng);
   }
 
  private:
@@ -116,7 +112,58 @@ int PredictValueFromPayload(const multidim::MultidimReport& report,
   return set_bits[rng.UniformInt(set_bits.size())];
 }
 
+void ValidatePlan(const SurveyPlan& plan, int d) {
+  LDPR_REQUIRE(plan.num_surveys() >= 1,
+               "plan must contain at least one survey");
+  for (int s = 0; s < plan.num_surveys(); ++s) {
+    LDPR_REQUIRE(!plan.surveys[s].empty(),
+                 "survey " << s << " collects no attribute");
+    for (int a : plan.surveys[s]) {
+      LDPR_REQUIRE(a >= 0 && a < d, "survey " << s << " collects attribute "
+                                              << a << ", outside [0, " << d
+                                              << ")");
+    }
+  }
+}
+
 }  // namespace
+
+ProfileLog::ProfileLog(int n, int num_surveys)
+    : n_(n),
+      num_surveys_(num_surveys),
+      entries_(static_cast<std::size_t>(n) * num_surveys) {
+  LDPR_REQUIRE(n >= 0 && num_surveys >= 0,
+               "ProfileLog requires n >= 0 and num_surveys >= 0");
+}
+
+Profile ProfileLog::Snapshot(int user, int surveys_seen) const {
+  LDPR_REQUIRE(user >= 0 && user < n_,
+               "user " << user << " outside [0, " << n_ << ")");
+  LDPR_REQUIRE(surveys_seen >= 0 && surveys_seen <= num_surveys_,
+               "surveys_seen " << surveys_seen << " outside [0, "
+                               << num_surveys_ << "]");
+  const Entry* entries = row(user);
+  std::size_t size = 0;
+  for (int s = 0; s < surveys_seen; ++s) size += entries[s].attribute >= 0;
+  Profile profile;
+  profile.reserve(size);
+  for (int s = 0; s < surveys_seen; ++s) {
+    if (entries[s].attribute >= 0) {
+      profile.emplace_back(entries[s].attribute, entries[s].value);
+    }
+  }
+  std::sort(profile.begin(), profile.end());  // attributes are distinct
+  return profile;
+}
+
+std::vector<Profile> ProfileLog::Snapshots(int surveys_seen) const {
+  std::vector<Profile> profiles;
+  profiles.reserve(static_cast<std::size_t>(n_));
+  for (int user = 0; user < n_; ++user) {
+    profiles.push_back(Snapshot(user, surveys_seen));
+  }
+  return profiles;
+}
 
 std::unique_ptr<AttackChannel> MakeLdpChannel(
     fo::Protocol protocol, const std::vector<int>& domain_sizes,
@@ -135,28 +182,28 @@ std::unique_ptr<AttackChannel> MakeMetricLdpChannel(
   return std::make_unique<MetricLdpChannel>(domain_sizes, epsilon);
 }
 
-std::vector<std::vector<Profile>> SimulateSmpProfiling(
-    const data::Dataset& dataset, const AttackChannel& channel,
-    const SurveyPlan& plan, PrivacyMetricMode mode, Rng& rng) {
+ProfileLog SimulateSmpProfileLog(const data::Dataset& dataset,
+                                 const AttackChannel& channel,
+                                 const SurveyPlan& plan,
+                                 PrivacyMetricMode mode, Rng& rng) {
   const int n = dataset.n();
+  const int d = dataset.d();
+  ValidatePlan(plan, d);
   const int num_surveys = plan.num_surveys();
-  LDPR_REQUIRE(num_surveys >= 1, "plan must contain at least one survey");
-
-  std::vector<std::vector<Profile>> snapshots(
-      num_surveys, std::vector<Profile>(n));
+  ProfileLog log(n, num_surveys);
 
   // Sharded per-user sweep on independent per-shard RNG streams: results are
   // reproducible from one root seed under any LDPR_THREADS setting, and the
   // engine keeps O(shards) generator state instead of one Rng per user.
+  // Shards write disjoint user rows of the log.
   sim::ShardedRun(
       n, rng, sim::Options{},
       [&](int /*shard*/, long long lo, long long hi, Rng& r) {
-        std::vector<int> predicted(dataset.d(), -1);
-        std::vector<bool> reported(dataset.d(), false);
+        std::vector<char> reported(d);
         std::vector<int> candidates;
         for (long long user = lo; user < hi; ++user) {
-          std::fill(predicted.begin(), predicted.end(), -1);
           std::fill(reported.begin(), reported.end(), false);
+          ProfileLog::Entry* entries = log.row(static_cast<int>(user));
           for (int s = 0; s < num_surveys; ++s) {
             const std::vector<int>& attrs = plan.surveys[s];
             int chosen = -1;
@@ -178,18 +225,29 @@ std::vector<std::vector<Profile>> SimulateSmpProfiling(
               int a = attrs[r.UniformInt(attrs.size())];
               if (!reported[a]) chosen = a;
             }
-            if (chosen >= 0) {
-              predicted[chosen] = channel.ReportAndPredict(
-                  dataset.value(static_cast<int>(user), chosen), chosen, r);
-              reported[chosen] = true;
-            }
-            Profile& snap = snapshots[s][user];
-            for (int a = 0; a < dataset.d(); ++a) {
-              if (predicted[a] != -1) snap.emplace_back(a, predicted[a]);
-            }
+            if (chosen < 0) continue;
+            const int predicted = channel.ReportAndPredict(
+                dataset.value(static_cast<int>(user), chosen), chosen, r);
+            reported[chosen] = true;
+            // A prediction of -1 names no value: it stays out of the
+            // profile, as it always has.
+            if (predicted != -1) entries[s] = {chosen, predicted};
           }
         }
       });
+  return log;
+}
+
+std::vector<std::vector<Profile>> SimulateSmpProfiling(
+    const data::Dataset& dataset, const AttackChannel& channel,
+    const SurveyPlan& plan, PrivacyMetricMode mode, Rng& rng) {
+  const ProfileLog log =
+      SimulateSmpProfileLog(dataset, channel, plan, mode, rng);
+  std::vector<std::vector<Profile>> snapshots;
+  snapshots.reserve(static_cast<std::size_t>(log.num_surveys()));
+  for (int s = 1; s <= log.num_surveys(); ++s) {
+    snapshots.push_back(log.Snapshots(s));
+  }
   return snapshots;
 }
 
@@ -197,9 +255,9 @@ std::vector<std::vector<Profile>> SimulateRsFdProfiling(
     const data::Dataset& dataset, multidim::RsFdVariant variant,
     double epsilon, const SurveyPlan& plan, double synthetic_multiplier,
     const ml::GbdtConfig& gbdt_config, Rng& rng) {
+  ValidatePlan(plan, dataset.d());
   const int n = dataset.n();
   const int num_surveys = plan.num_surveys();
-  LDPR_REQUIRE(num_surveys >= 1, "plan must contain at least one survey");
 
   std::vector<std::vector<Profile>> snapshots(
       num_surveys, std::vector<Profile>(n));

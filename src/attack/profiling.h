@@ -1,6 +1,7 @@
 #ifndef LDPR_ATTACK_PROFILING_H_
 #define LDPR_ATTACK_PROFILING_H_
 
+#include <cstddef>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -45,7 +46,9 @@ class AttackChannel {
                                Rng& rng) const = 0;
 };
 
-/// eps-LDP channel: protocol randomizer + Section 3.2.1 adversary.
+/// eps-LDP channel: protocol randomizer + Section 3.2.1 adversary, fused
+/// through fo::FrequencyOracle::RandomizeAndPredict (the PIE channel's
+/// randomized attributes go the same way).
 std::unique_ptr<AttackChannel> MakeLdpChannel(
     fo::Protocol protocol, const std::vector<int>& domain_sizes,
     double epsilon);
@@ -63,9 +66,67 @@ std::unique_ptr<AttackChannel> MakePieChannel(
 std::unique_ptr<AttackChannel> MakeMetricLdpChannel(
     const std::vector<int>& domain_sizes, double epsilon);
 
-/// Simulates multi-survey SMP collection and the profiling adversary.
-/// Returns, for every survey prefix s (1-based index s surveys seen),
-/// the inferred profile of every user: result[s-1][user].
+/// What the profiling adversary learned, survey by survey, in one flat
+/// array: entry(user, s) is the (attribute, predicted value) pair that
+/// `user`'s report in survey s revealed, or attribute -1 when that survey
+/// revealed nothing new (every attribute of the survey already reported
+/// under the uniform metric, or a memoized repeat under the non-uniform
+/// one). An attribute appears at most once per user, so the profile after
+/// s surveys is the user's first s entries, which Snapshot sorts by
+/// attribute.
+///
+/// Cost: 8 bytes per (user, survey) in one allocation, against one heap
+/// vector per (user, survey) for the materialized snapshots.
+class ProfileLog {
+ public:
+  struct Entry {
+    int attribute = -1;  ///< -1: nothing new revealed in this survey
+    int value = -1;      ///< the adversary's prediction of the true value
+  };
+
+  ProfileLog() = default;
+  ProfileLog(int n, int num_surveys);
+
+  int n() const { return n_; }
+  int num_surveys() const { return num_surveys_; }
+
+  /// The user's num_surveys() entries, in survey order.
+  const Entry* row(int user) const {
+    return entries_.data() + static_cast<std::size_t>(user) * num_surveys_;
+  }
+  Entry* row(int user) {
+    return entries_.data() + static_cast<std::size_t>(user) * num_surveys_;
+  }
+
+  /// The user's inferred profile after the first `surveys_seen` surveys
+  /// (0 <= surveys_seen <= num_surveys()), sorted by attribute and reserved
+  /// to its exact size.
+  Profile Snapshot(int user, int surveys_seen) const;
+  /// Snapshot of every user after `surveys_seen` surveys.
+  std::vector<Profile> Snapshots(int surveys_seen) const;
+
+ private:
+  int n_ = 0;
+  int num_surveys_ = 0;
+  std::vector<Entry> entries_;  ///< user-major: entries_[user * S + s]
+};
+
+/// Simulates multi-survey SMP collection and the profiling adversary into a
+/// ProfileLog. The plan's attributes must lie in [0, d) and no survey may be
+/// empty (InvalidArgumentError otherwise).
+///
+/// One sharded sweep over the users, each shard on its own Fork of one Split
+/// of `rng` (so results do not depend on LDPR_THREADS), with O(d) scratch
+/// per shard and none per user: each report goes through the channel's
+/// fused report-and-predict and lands in the user's log row.
+ProfileLog SimulateSmpProfileLog(const data::Dataset& dataset,
+                                 const AttackChannel& channel,
+                                 const SurveyPlan& plan,
+                                 PrivacyMetricMode mode, Rng& rng);
+
+/// SimulateSmpProfileLog, materialized: for every survey prefix s (1-based
+/// index s surveys seen), the inferred profile of every user,
+/// result[s-1][user] = log.Snapshot(user, s). Same draws from `rng`.
 std::vector<std::vector<Profile>> SimulateSmpProfiling(
     const data::Dataset& dataset, const AttackChannel& channel,
     const SurveyPlan& plan, PrivacyMetricMode mode, Rng& rng);
@@ -76,7 +137,7 @@ std::vector<std::vector<Profile>> SimulateSmpProfiling(
 /// on `synthetic_multiplier * n` synthetic profiles), then predicts the
 /// value of the *predicted* attribute from the report payload. Prediction
 /// errors therefore chain, which is what makes RS+FD a partial
-/// countermeasure.
+/// countermeasure. The plan is validated like SimulateSmpProfileLog's.
 std::vector<std::vector<Profile>> SimulateRsFdProfiling(
     const data::Dataset& dataset, multidim::RsFdVariant variant,
     double epsilon, const SurveyPlan& plan, double synthetic_multiplier,

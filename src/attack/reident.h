@@ -53,18 +53,37 @@ struct ReidentResult {
 /// variance.
 ///
 /// Cost: O(n * d) once per call to copy the known background columns into
-/// bytes, then O(targets * n * checks / 16) per call, where checks is the
-/// number of usable profile entries (in D_BK, value inside [0, k_j)). Per
-/// target the kernel adds (column[r] != value) into a byte distance per
-/// record, one pass per check, and counts dist < true_dist and
-/// dist == true_dist in a last pass; every loop is branch-free and runs 16
-/// records per SSE2 instruction at the default flags. The counts are exact:
-/// only whether a record's distance is below, at or above the target's
-/// matters, and a distance is never truncated (a target with more than 255
-/// checks, or a background attribute with k_j > 256, runs the same kernel
-/// on int columns). A value outside [0, k_j) mismatches every record, the
-/// target's own included, so dropping it changes no count.
+/// bytes, then O(targets * n * checks / W) per call, where checks is the
+/// number of usable profile entries (in D_BK, value inside [0, k_j)) and W
+/// the records per vector instruction. The byte kernel has three tiers,
+/// and each call runs the widest one the CPU supports, picked once with
+/// __builtin_cpu_supports (non-x86-64 builds have only the first):
+///   - baseline (default flags, SSE2 on x86-64, W = 16): adds
+///     (column[r] != value) into a byte distance per record, one pass per
+///     check, then counts dist < true_dist and dist == true_dist in a last
+///     pass;
+///   - AVX2 (W = 32) and AVX-512BW+VL (W = 64): per block of 4 vectors of
+///     records, keep the block's distances in registers across all checks
+///     and tally it with mask popcounts, so each check costs one column
+///     load per vector and nothing is stored.
+/// Every loop is branch-free on the data. The counts are exact and the same
+/// on every tier: only whether a record's distance is below, at or above
+/// the target's matters, and a distance is never truncated (a target with
+/// more than 255 checks, or a background attribute with k_j > 256, runs
+/// the baseline kernel on int columns). A value outside [0, k_j)
+/// mismatches every record, the target's own included, so dropping it
+/// changes no count, and neither does the order of the checks.
 ReidentResult ReidentAccuracy(const std::vector<Profile>& profiles,
+                              const data::Dataset& background,
+                              const std::vector<bool>& bk_attributes,
+                              const ReidentConfig& config, Rng& rng);
+
+/// ReidentAccuracy on the profiles after `surveys_seen` surveys, read
+/// straight from the log: the same draws and the same result as
+/// ReidentAccuracy(log.Snapshots(surveys_seen), ...), with no profile
+/// materialized. Requires log.n() == background.n() and
+/// 0 <= surveys_seen <= log.num_surveys().
+ReidentResult ReidentAccuracy(const ProfileLog& log, int surveys_seen,
                               const data::Dataset& background,
                               const std::vector<bool>& bk_attributes,
                               const ReidentConfig& config, Rng& rng);

@@ -25,8 +25,10 @@ std::vector<double> SmpReidentTrial(const data::Dataset& dataset,
                                      options.x, dataset.n());
   }
 
-  auto snapshots =
-      attack::SimulateSmpProfiling(dataset, *channel, plan, options.mode, rng);
+  // One log, matched at every prefix: the draws and results of matching
+  // each materialized snapshot, without building one.
+  const attack::ProfileLog log = attack::SimulateSmpProfileLog(
+      dataset, *channel, plan, options.mode, rng);
 
   std::vector<bool> bk =
       attack::MakeBackgroundAttributes(dataset.d(), options.model, rng);
@@ -38,8 +40,7 @@ std::vector<double> SmpReidentTrial(const data::Dataset& dataset,
   std::vector<std::vector<double>> rid_acc(
       prefixes, std::vector<double>(options.top_k.size(), 0.0));
   for (int s = 2; s <= options.num_surveys; ++s) {
-    auto result =
-        attack::ReidentAccuracy(snapshots[s - 1], dataset, bk, config, rng);
+    auto result = attack::ReidentAccuracy(log, s, dataset, bk, config, rng);
     for (std::size_t ki = 0; ki < options.top_k.size(); ++ki) {
       rid_acc[s - 2][ki] = result.rid_acc_percent[ki];
     }

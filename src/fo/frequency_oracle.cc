@@ -71,6 +71,10 @@ std::vector<double> FrequencyOracle::EstimateFrequencies(
   return agg->Estimate();
 }
 
+int FrequencyOracle::RandomizeAndPredict(int value, Rng& rng) const {
+  return AttackPredict(Randomize(value, rng), rng);
+}
+
 void FrequencyOracle::BatchRandomize(const int* values, std::size_t count,
                                      Rng& rng, const ReportSink& sink) const {
   for (std::size_t i = 0; i < count; ++i) {

@@ -98,6 +98,13 @@ class FrequencyOracle {
   /// report. Ties are broken uniformly at random.
   virtual int AttackPredict(const Report& report, Rng& rng) const = 0;
 
+  /// Client and adversary fused: sanitizes `value` and returns the
+  /// adversary's prediction from that report. Draws from `rng` exactly like
+  /// AttackPredict(Randomize(value, rng), rng), which is the default;
+  /// protocol overrides skip the Report and reuse per-thread scratch, so a
+  /// simulated attack makes no per-report heap allocation in steady state.
+  virtual int RandomizeAndPredict(int value, Rng& rng) const;
+
   /// Unbiased frequency estimate from support counts over n reports:
   /// fhat(v) = (C(v)/n - q) / (p - q)  (Eq. 2).
   std::vector<double> EstimateFromCounts(const std::vector<long long>& counts,

@@ -8,18 +8,27 @@
 
 namespace ldpr::fo {
 
+namespace {
+
+// Pr[the true value is reported]. Perturb and the constructor share this one
+// expression, so the paths that draw with p() draw exactly like Perturb.
+double KeepProbability(int k, double eps) {
+  const double e = std::exp(eps);
+  return e / (e + k - 1);
+}
+
+}  // namespace
+
 Grr::Grr(int k, double epsilon) : FrequencyOracle(k, epsilon) {
   const double e = std::exp(epsilon);
-  SetProbabilities(e / (e + k - 1), 1.0 / (e + k - 1));
+  SetProbabilities(KeepProbability(k, epsilon), 1.0 / (e + k - 1));
 }
 
 int Grr::Perturb(int value, int k, double eps, Rng& rng) {
   LDPR_REQUIRE(k >= 2 && eps > 0.0, "GRR perturb requires k >= 2, eps > 0");
   LDPR_REQUIRE(value >= 0 && value < k,
                "value " << value << " outside [0, " << k << ")");
-  const double e = std::exp(eps);
-  const double p = e / (e + k - 1);
-  if (rng.Bernoulli(p)) return value;
+  if (rng.Bernoulli(KeepProbability(k, eps))) return value;
   // Uniform over the k-1 other values.
   int other = static_cast<int>(rng.UniformInt(k - 1));
   return other >= value ? other + 1 : other;
@@ -41,6 +50,16 @@ void Grr::AccumulateSupport(const Report& report,
 int Grr::AttackPredict(const Report& report, Rng& /*rng*/) const {
   // The reported value is the single most likely true value (prob. p > q).
   return report.value;
+}
+
+int Grr::RandomizeAndPredict(int value, Rng& rng) const {
+  const int k = this->k();
+  LDPR_REQUIRE(value >= 0 && value < k,
+               "value " << value << " outside [0, " << k << ")");
+  // Same draws as Perturb; the prediction is the report itself.
+  if (rng.Bernoulli(p())) return value;
+  int other = static_cast<int>(rng.UniformInt(k - 1));
+  return other >= value ? other + 1 : other;
 }
 
 namespace {

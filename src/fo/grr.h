@@ -20,6 +20,7 @@ class Grr : public FrequencyOracle {
   void AccumulateSupport(const Report& report,
                          std::vector<long long>* counts) const override;
   int AttackPredict(const Report& report, Rng& rng) const override;
+  int RandomizeAndPredict(int value, Rng& rng) const override;
   Protocol protocol() const override { return Protocol::kGrr; }
 
   /// Fused tally aggregator; its histogram path draws the report counts as

@@ -429,6 +429,26 @@ std::unique_ptr<Aggregator> Olh::MakeAggregator() const {
   return std::make_unique<OlhAggregator>(*this);
 }
 
+int Olh::RandomizeAndPredict(int value, Rng& rng) const {
+  LDPR_REQUIRE(value >= 0 && value < k(), "OLH value out of range");
+  // Same draws as Randomize then AttackPredict, the preimage gathered in
+  // per-thread scratch.
+  UniversalHash h(rng(), g_);
+  const int hashed = h(value);
+  int reported = hashed;
+  if (!rng.Bernoulli(p_prime_)) {
+    const int other = static_cast<int>(rng.UniformInt(g_ - 1));
+    reported = other >= hashed ? other + 1 : other;
+  }
+  thread_local std::vector<int> preimage;
+  preimage.clear();
+  for (int v = 0; v < k(); ++v) {
+    if (h(v) == reported) preimage.push_back(v);
+  }
+  if (preimage.empty()) return static_cast<int>(rng.UniformInt(k()));
+  return preimage[rng.UniformInt(preimage.size())];
+}
+
 int Olh::AttackPredict(const Report& report, Rng& rng) const {
   // The most likely true values are those hashing to the reported cell;
   // pick one uniformly. An empty preimage carries no information, so fall

@@ -31,6 +31,7 @@ class Olh : public FrequencyOracle {
   void AccumulateSupport(const Report& report,
                          std::vector<long long>* counts) const override;
   int AttackPredict(const Report& report, Rng& rng) const override;
+  int RandomizeAndPredict(int value, Rng& rng) const override;
   Protocol protocol() const override { return Protocol::kOlh; }
 
   /// Fused hashed-support counting: randomizes in the reduced domain and

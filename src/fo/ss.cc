@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <vector>
 
 #include "core/check.h"
 #include "fo/bitslice.h"
@@ -175,6 +177,25 @@ void Ss::AccumulateSupport(const Report& report,
     LDPR_REQUIRE(v >= 0 && v < k(), "SS subset value out of range");
     ++(*counts)[v];
   }
+}
+
+int Ss::RandomizeAndPredict(int value, Rng& rng) const {
+  LDPR_REQUIRE(value >= 0 && value < k(), "SS value out of range");
+  // Same draws as Randomize then AttackPredict. The guess is the j-th
+  // smallest member of Omega, so nth_element stands in for the full sort.
+  thread_local std::vector<int> subset;
+  const bool include_true = rng.Bernoulli(p());
+  const int extra = include_true ? omega_ - 1 : omega_;
+  rng.SampleWithoutReplacementInto(k() - 1, extra, &subset);
+  for (int j = 0; j < extra; ++j) {
+    const int o = subset[j];
+    subset[j] = o >= value ? o + 1 : o;
+  }
+  if (include_true) subset[extra] = value;  // extra < omega <= k - 1
+  const auto j = static_cast<std::ptrdiff_t>(rng.UniformInt(omega_));
+  std::nth_element(subset.begin(), subset.begin() + j,
+                   subset.begin() + omega_);
+  return subset[j];
 }
 
 int Ss::AttackPredict(const Report& report, Rng& rng) const {

@@ -24,6 +24,7 @@ class Ss : public FrequencyOracle {
   void AccumulateSupport(const Report& report,
                          std::vector<long long>* counts) const override;
   int AttackPredict(const Report& report, Rng& rng) const override;
+  int RandomizeAndPredict(int value, Rng& rng) const override;
   Protocol protocol() const override { return Protocol::kSs; }
 
   /// Batched randomizer reusing one scratch subset across users.

@@ -175,6 +175,24 @@ int UnaryEncoding::AttackPredict(const Report& report, Rng& rng) const {
   return set_bits[rng.UniformInt(set_bits.size())];
 }
 
+int UnaryEncoding::RandomizeAndPredict(int value, Rng& rng) const {
+  const int k = this->k();
+  LDPR_REQUIRE(value >= 0 && value < k,
+               "OneHot value " << value << " outside [0, " << k << ")");
+  // Same ascending per-bit draws as OneHot + PerturbBits, then
+  // AttackPredict's choice among the set bits, with no bit vector.
+  thread_local std::vector<int> set_bits;
+  set_bits.clear();
+  const double p = this->p();
+  const double q = this->q();
+  for (int i = 0; i < k; ++i) {
+    if (rng.Bernoulli(i == value ? p : q)) set_bits.push_back(i);
+  }
+  if (set_bits.empty()) return static_cast<int>(rng.UniformInt(k));
+  if (set_bits.size() == 1) return set_bits[0];
+  return set_bits[rng.UniformInt(set_bits.size())];
+}
+
 double Sue::PForEpsilon(double epsilon) {
   const double e2 = std::exp(epsilon / 2.0);
   return e2 / (e2 + 1.0);

@@ -25,6 +25,7 @@ class UnaryEncoding : public FrequencyOracle {
   void AccumulateSupport(const Report& report,
                          std::vector<long long>* counts) const override;
   int AttackPredict(const Report& report, Rng& rng) const override;
+  int RandomizeAndPredict(int value, Rng& rng) const override;
 
   /// Batched randomizer perturbing into one reused k-bit scratch vector.
   void BatchRandomize(const int* values, std::size_t count, Rng& rng,

@@ -1,11 +1,18 @@
 #include "attack/profiling.h"
 
+#include <algorithm>
+#include <memory>
 #include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/check.h"
 #include "data/synthetic.h"
+#include "fo/factory.h"
+#include "privacy/pie.h"
+#include "sim/engine.h"
 
 namespace ldpr::attack {
 namespace {
@@ -165,6 +172,184 @@ TEST(RsFdProfilingTest, ProducesProfilesWithChainedPredictions) {
       EXPECT_LT(v, ds.domain_size(a));
     }
   }
+}
+
+/// eps-LDP or alpha-PIE through the two-step oracle path, Randomize then
+/// AttackPredict: the reference for the channels' fused path.
+class TwoStepChannel : public AttackChannel {
+ public:
+  TwoStepChannel(fo::Protocol protocol, const std::vector<int>& domain_sizes,
+                 double epsilon) {
+    for (int k : domain_sizes) {
+      oracles_.push_back(fo::MakeOracle(protocol, k, epsilon));
+    }
+  }
+  TwoStepChannel(fo::Protocol protocol, const std::vector<int>& domain_sizes,
+                 double beta, long long n) {
+    for (int k : domain_sizes) {
+      const privacy::PieCalibration cal =
+          privacy::CalibrateForBayesError(beta, n, k);
+      oracles_.push_back(cal.use_randomizer
+                             ? fo::MakeOracle(protocol, k, cal.epsilon)
+                             : nullptr);
+    }
+  }
+
+  int ReportAndPredict(int true_value, int attribute,
+                       Rng& rng) const override {
+    const fo::FrequencyOracle* oracle = oracles_[attribute].get();
+    if (oracle == nullptr) return true_value;  // PIE clear text
+    return oracle->AttackPredict(oracle->Randomize(true_value, rng), rng);
+  }
+
+ private:
+  std::vector<std::unique_ptr<fo::FrequencyOracle>> oracles_;
+};
+
+/// The per-user snapshot loop SMP profiling ran before the log: every user
+/// keeps a predicted-value array and re-derives its attribute-sorted profile
+/// after each survey.
+std::vector<std::vector<Profile>> ReferenceSnapshots(
+    const data::Dataset& dataset, const AttackChannel& channel,
+    const SurveyPlan& plan, PrivacyMetricMode mode, Rng& rng) {
+  const int n = dataset.n();
+  const int num_surveys = plan.num_surveys();
+  std::vector<std::vector<Profile>> snapshots(num_surveys,
+                                              std::vector<Profile>(n));
+  sim::ShardedRun(
+      n, rng, sim::Options{},
+      [&](int /*shard*/, long long lo, long long hi, Rng& r) {
+        std::vector<int> predicted(dataset.d(), -1);
+        std::vector<bool> reported(dataset.d(), false);
+        std::vector<int> candidates;
+        for (long long user = lo; user < hi; ++user) {
+          std::fill(predicted.begin(), predicted.end(), -1);
+          std::fill(reported.begin(), reported.end(), false);
+          for (int s = 0; s < num_surveys; ++s) {
+            const std::vector<int>& attrs = plan.surveys[s];
+            int chosen = -1;
+            if (mode == PrivacyMetricMode::kUniform) {
+              candidates.clear();
+              for (int a : attrs) {
+                if (!reported[a]) candidates.push_back(a);
+              }
+              if (!candidates.empty()) {
+                chosen = candidates[r.UniformInt(candidates.size())];
+              }
+            } else {
+              int a = attrs[r.UniformInt(attrs.size())];
+              if (!reported[a]) chosen = a;
+            }
+            if (chosen >= 0) {
+              predicted[chosen] = channel.ReportAndPredict(
+                  dataset.value(static_cast<int>(user), chosen), chosen, r);
+              reported[chosen] = true;
+            }
+            Profile& snap = snapshots[s][user];
+            for (int a = 0; a < dataset.d(); ++a) {
+              if (predicted[a] != -1) snap.emplace_back(a, predicted[a]);
+            }
+          }
+        }
+      });
+  return snapshots;
+}
+
+TEST(SmpProfilingTest, LogMatchesReferenceSnapshots) {
+  const data::Dataset ds = data::AdultLike(12, 0.03);
+  Rng plan_rng(12);
+  // 7 surveys over d attributes: the uniform metric runs out of fresh
+  // attributes in some surveys, so the log holds "nothing new" entries.
+  const SurveyPlan plan = MakeSurveyPlan(ds.d(), 7, plan_rng);
+
+  struct Case {
+    std::string name;
+    std::unique_ptr<AttackChannel> channel;    // the fused path under test
+    std::unique_ptr<AttackChannel> reference;  // two-step (or itself)
+  };
+  std::vector<Case> cases;
+  for (fo::Protocol protocol : fo::AllProtocols()) {
+    cases.push_back({std::string("ldp/") + fo::ProtocolName(protocol),
+                     MakeLdpChannel(protocol, ds.domain_sizes(), 2.0),
+                     std::make_unique<TwoStepChannel>(
+                         protocol, ds.domain_sizes(), 2.0)});
+    cases.push_back({std::string("pie/") + fo::ProtocolName(protocol),
+                     MakePieChannel(protocol, ds.domain_sizes(), 0.8, ds.n()),
+                     std::make_unique<TwoStepChannel>(
+                         protocol, ds.domain_sizes(), 0.8,
+                         static_cast<long long>(ds.n()))});
+  }
+  cases.push_back({"metric-ldp", MakeMetricLdpChannel(ds.domain_sizes(), 1.0),
+                   nullptr});
+
+  for (const Case& c : cases) {
+    const AttackChannel& reference =
+        c.reference != nullptr ? *c.reference : *c.channel;
+    for (PrivacyMetricMode mode :
+         {PrivacyMetricMode::kUniform, PrivacyMetricMode::kNonUniform}) {
+      const bool uniform = mode == PrivacyMetricMode::kUniform;
+      Rng rng_log(21), rng_wrapper(21), rng_ref(21);
+      const ProfileLog log =
+          SimulateSmpProfileLog(ds, *c.channel, plan, mode, rng_log);
+      const auto snapshots =
+          SimulateSmpProfiling(ds, *c.channel, plan, mode, rng_wrapper);
+      const auto want = ReferenceSnapshots(ds, reference, plan, mode, rng_ref);
+      ASSERT_EQ(log.n(), ds.n());
+      ASSERT_EQ(log.num_surveys(), plan.num_surveys());
+      EXPECT_TRUE(log.Snapshots(0) == std::vector<Profile>(ds.n()));
+      for (int s = 1; s <= plan.num_surveys(); ++s) {
+        EXPECT_TRUE(log.Snapshots(s) == want[s - 1])
+            << c.name << " uniform=" << uniform << " s=" << s;
+        EXPECT_TRUE(snapshots[s - 1] == want[s - 1])
+            << c.name << " uniform=" << uniform << " s=" << s;
+      }
+      // Exact-size snapshots: no slack capacity left behind.
+      const Profile last = log.Snapshot(ds.n() - 1, plan.num_surveys());
+      EXPECT_EQ(last.capacity(), last.size());
+      // All three consumed the same draws.
+      const auto next = rng_ref();
+      EXPECT_EQ(rng_log(), next) << c.name << " uniform=" << uniform;
+      EXPECT_EQ(rng_wrapper(), next) << c.name << " uniform=" << uniform;
+    }
+  }
+}
+
+TEST(SmpProfilingTest, RejectsOutOfRangePlan) {
+  data::Dataset ds = data::NurseryLike(13, 0.01);
+  const int d = ds.d();
+  auto channel = MakeLdpChannel(fo::Protocol::kGrr, ds.domain_sizes(), 1.0);
+  ml::GbdtConfig gbdt;
+  gbdt.num_rounds = 1;
+  gbdt.max_depth = 1;
+  const std::vector<SurveyPlan> bad_plans = {
+      SurveyPlan{{{0, 1}, {2, d}}},  // attribute d
+      SurveyPlan{{{-1, 0}}},         // negative attribute
+      SurveyPlan{{{0, 1}, {}}},      // empty survey
+      SurveyPlan{},                  // no survey
+  };
+  for (const SurveyPlan& plan : bad_plans) {
+    for (PrivacyMetricMode mode :
+         {PrivacyMetricMode::kUniform, PrivacyMetricMode::kNonUniform}) {
+      Rng rng(13);
+      EXPECT_THROW(SimulateSmpProfiling(ds, *channel, plan, mode, rng),
+                   InvalidArgumentError);
+      EXPECT_THROW(SimulateSmpProfileLog(ds, *channel, plan, mode, rng),
+                   InvalidArgumentError);
+    }
+    Rng rng(14);
+    EXPECT_THROW(SimulateRsFdProfiling(ds, multidim::RsFdVariant::kGrr, 1.0,
+                                       plan, 1.0, gbdt, rng),
+                 InvalidArgumentError);
+  }
+}
+
+TEST(ProfileLogTest, SnapshotValidatesItsArguments) {
+  const ProfileLog log(3, 2);
+  EXPECT_TRUE(log.Snapshot(2, 2).empty());
+  EXPECT_THROW(log.Snapshot(3, 1), InvalidArgumentError);
+  EXPECT_THROW(log.Snapshot(-1, 1), InvalidArgumentError);
+  EXPECT_THROW(log.Snapshot(0, 3), InvalidArgumentError);
+  EXPECT_THROW(log.Snapshot(0, -1), InvalidArgumentError);
 }
 
 }  // namespace

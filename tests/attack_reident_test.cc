@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
+#include "attack/reident_kernel.h"
 #include "core/check.h"
 #include "data/synthetic.h"
 
@@ -384,23 +386,142 @@ TEST(ReidentTest, KernelMatchesBruteForce) {
             config.top_k = {1, 5, 10};
             config.max_targets = max_targets;
             config.bk_noise = noise;
-            Rng rng_kernel(n * 31 + max_targets), rng_ref(n * 31 + max_targets);
-            const ReidentResult got =
-                ReidentAccuracy(profiles, ds, bk, config, rng_kernel);
+            Rng rng_ref(n * 31 + max_targets);
             const ReidentResult want =
                 BruteForceReident(profiles, ds, bk, config, rng_ref);
+            const auto next_ref = rng_ref.UniformInt(1u << 30);
+            // The dispatched matcher, then every byte-kernel tier this host
+            // runs.
+            Rng rng_kernel(n * 31 + max_targets);
+            const ReidentResult got =
+                ReidentAccuracy(profiles, ds, bk, config, rng_kernel);
             EXPECT_EQ(got.rid_acc_percent, want.rid_acc_percent)
                 << "n=" << n << " k1=" << domains[1]
                 << " pk=" << (model == ReidentModel::kPartialKnowledge)
                 << " noise=" << noise << " max_targets=" << max_targets;
             // Both consumed the same RNG draws.
-            EXPECT_EQ(rng_kernel.UniformInt(1u << 30),
-                      rng_ref.UniformInt(1u << 30));
+            EXPECT_EQ(rng_kernel.UniformInt(1u << 30), next_ref);
+            for (reident_internal::ByteKernel kernel :
+                 reident_internal::SupportedByteKernels()) {
+              Rng rng_tier(n * 31 + max_targets);
+              const ReidentResult tier =
+                  reident_internal::ReidentAccuracyWithKernel(
+                      kernel, profiles, ds, bk, config, rng_tier);
+              EXPECT_EQ(tier.rid_acc_percent, want.rid_acc_percent)
+                  << reident_internal::ByteKernelName(kernel) << " n=" << n
+                  << " k1=" << domains[1] << " noise=" << noise
+                  << " max_targets=" << max_targets;
+              EXPECT_EQ(rng_tier.UniformInt(1u << 30), next_ref);
+            }
           }
         }
       }
     }
   }
+}
+
+TEST(ReidentTest, ByteKernelTiersAgreeAtEveryLength) {
+  // Every length from 1 to 3 AVX-512 vectors and then some, so each tier's
+  // full vectors, its partial last vector and its scalar tail all count.
+  const std::vector<reident_internal::ByteKernel> tiers =
+      reident_internal::SupportedByteKernels();
+  ASSERT_FALSE(tiers.empty());
+  EXPECT_EQ(tiers.front(), reident_internal::ByteKernel::kBaseline);
+  EXPECT_EQ(tiers.back(), reident_internal::DetectByteKernel());
+  Rng rng(17);
+  const int d = 6;
+  for (int n = 1; n <= 200; ++n) {
+    std::vector<std::vector<std::uint8_t>> packed(d);
+    std::vector<const std::uint8_t*> columns(d);
+    for (int j = 0; j < d; ++j) {
+      const int k = j == d - 1 ? 256 : 2 + j;  // the last spans every byte
+      packed[j].resize(n);
+      for (auto& cell : packed[j]) {
+        cell = static_cast<std::uint8_t>(rng.UniformInt(k));
+      }
+      columns[j] = packed[j].data();
+    }
+    const int user = static_cast<int>(rng.UniformInt(n));
+    std::vector<std::pair<int, int>> checks;
+    const int num_checks = 1 + static_cast<int>(rng.UniformInt(3 * d));
+    for (int c = 0; c < num_checks; ++c) {
+      const int attr = static_cast<int>(rng.UniformInt(d));
+      checks.emplace_back(attr, c % 2 == 0 ? packed[attr][user]
+                                           : packed[attr][rng.UniformInt(n)]);
+    }
+    // Scalar reference.
+    auto distance = [&](int r) {
+      int dist = 0;
+      for (const auto& [attr, v] : checks) dist += packed[attr][r] != v;
+      return dist;
+    };
+    const int true_dist = distance(user);
+    reident_internal::MatchCounts want;
+    for (int r = 0; r < n; ++r) {
+      want.closer += distance(r) < true_dist;
+      want.ties += distance(r) == true_dist;
+    }
+    std::vector<std::uint8_t> scratch;
+    for (reident_internal::ByteKernel kernel : tiers) {
+      const reident_internal::MatchCounts got =
+          reident_internal::CountCloserAndTiesBytes(kernel, checks, columns,
+                                                    user, n, scratch);
+      EXPECT_EQ(got.closer, want.closer)
+          << reident_internal::ByteKernelName(kernel) << " n=" << n;
+      EXPECT_EQ(got.ties, want.ties)
+          << reident_internal::ByteKernelName(kernel) << " n=" << n;
+    }
+  }
+}
+
+TEST(ReidentTest, LogOverloadMatchesProfileOverload) {
+  const data::Dataset ds = data::AdultLike(19, 0.05);
+  Rng rng(19);
+  const SurveyPlan plan = MakeSurveyPlan(ds.d(), 6, rng);
+  for (fo::Protocol protocol : {fo::Protocol::kGrr, fo::Protocol::kOue}) {
+    for (PrivacyMetricMode mode :
+         {PrivacyMetricMode::kUniform, PrivacyMetricMode::kNonUniform}) {
+      auto channel = MakeLdpChannel(protocol, ds.domain_sizes(), 3.0);
+      const ProfileLog log =
+          SimulateSmpProfileLog(ds, *channel, plan, mode, rng);
+      for (ReidentModel model :
+           {ReidentModel::kFullKnowledge, ReidentModel::kPartialKnowledge}) {
+        const std::vector<bool> bk =
+            MakeBackgroundAttributes(ds.d(), model, rng);
+        for (double noise : {0.0, 0.2}) {
+          ReidentConfig config;
+          config.top_k = {1, 10};
+          config.max_targets = 400;
+          config.bk_noise = noise;
+          for (int s = 0; s <= log.num_surveys(); ++s) {
+            Rng rng_log(s + 100), rng_profiles(s + 100);
+            const ReidentResult got =
+                ReidentAccuracy(log, s, ds, bk, config, rng_log);
+            const ReidentResult want = ReidentAccuracy(
+                log.Snapshots(s), ds, bk, config, rng_profiles);
+            EXPECT_EQ(got.rid_acc_percent, want.rid_acc_percent)
+                << fo::ProtocolName(protocol) << " s=" << s
+                << " noise=" << noise;
+            EXPECT_EQ(rng_log(), rng_profiles());
+          }
+        }
+      }
+    }
+  }
+  // The log must align with the background, and the prefix must exist.
+  const auto channel = MakeLdpChannel(fo::Protocol::kGrr, ds.domain_sizes(),
+                                      1.0);
+  const ProfileLog log = SimulateSmpProfileLog(
+      ds, *channel, plan, PrivacyMetricMode::kUniform, rng);
+  const std::vector<bool> bk(ds.d(), true);
+  EXPECT_THROW(ReidentAccuracy(log, 7, ds, bk, AllTargets(), rng),
+               InvalidArgumentError);
+  EXPECT_THROW(ReidentAccuracy(log, -1, ds, bk, AllTargets(), rng),
+               InvalidArgumentError);
+  const data::Dataset other = GridBackground(10, 2, 3);
+  EXPECT_THROW(ReidentAccuracy(ProfileLog(9, 2), 1, other, {true, true},
+                               AllTargets(), rng),
+               InvalidArgumentError);
 }
 
 }  // namespace

@@ -374,5 +374,43 @@ TEST(GrrTest, PerturbValidation) {
   EXPECT_THROW(Grr::Perturb(0, 5, 0.0, rng), InvalidArgumentError);
 }
 
+// The fused client + adversary path must make exactly the draws of the
+// two-step path, for every protocol, small and large domains (k = 300 runs
+// the UE and OLH preimage scratch well past its first growth) and both a
+// tight and a loose budget.
+TEST(RandomizeAndPredictTest, RandomizeAndPredictMatchesTwoStep) {
+  for (Protocol protocol : AllProtocols()) {
+    for (int k : {2, 3, 74, 300}) {
+      for (double eps : {0.5, 4.0}) {
+        const auto oracle = MakeOracle(protocol, k, eps);
+        Rng values(static_cast<std::uint64_t>(k) * 7 + 1);
+        Rng fused(99), two_step(99);
+        for (int t = 0; t < 10000; ++t) {
+          const int v = static_cast<int>(values.UniformInt(k));
+          const int got = oracle->RandomizeAndPredict(v, fused);
+          const int want =
+              oracle->AttackPredict(oracle->Randomize(v, two_step), two_step);
+          EXPECT_EQ(got, want) << ProtocolName(protocol) << " k=" << k
+                               << " eps=" << eps << " draw " << t;
+          if (got != want) break;
+        }
+        EXPECT_EQ(fused(), two_step())
+            << ProtocolName(protocol) << " k=" << k << " eps=" << eps;
+      }
+    }
+  }
+}
+
+TEST(RandomizeAndPredictTest, RejectsOutOfDomainValues) {
+  Rng rng(8);
+  for (Protocol protocol : AllProtocols()) {
+    const auto oracle = MakeOracle(protocol, 5, 1.0);
+    EXPECT_THROW(oracle->RandomizeAndPredict(-1, rng), InvalidArgumentError)
+        << ProtocolName(protocol);
+    EXPECT_THROW(oracle->RandomizeAndPredict(5, rng), InvalidArgumentError)
+        << ProtocolName(protocol);
+  }
+}
+
 }  // namespace
 }  // namespace ldpr::fo
