@@ -4,6 +4,7 @@
 
 #include "attack/aif.h"
 #include "core/check.h"
+#include "core/parallel.h"
 #include "fo/factory.h"
 #include "fo/metric_ldp.h"
 #include "privacy/pie.h"
@@ -157,11 +158,19 @@ Profile ProfileLog::Snapshot(int user, int surveys_seen) const {
 }
 
 std::vector<Profile> ProfileLog::Snapshots(int surveys_seen) const {
-  std::vector<Profile> profiles;
-  profiles.reserve(static_cast<std::size_t>(n_));
-  for (int user = 0; user < n_; ++user) {
-    profiles.push_back(Snapshot(user, surveys_seen));
-  }
+  LDPR_REQUIRE(surveys_seen >= 0 && surveys_seen <= num_surveys_,
+               "surveys_seen " << surveys_seen << " outside [0, "
+                               << num_surveys_ << "]");
+  // One heap block per profile: allocate them across the workers, as the
+  // sweep that fills the log does.
+  std::vector<Profile> profiles(static_cast<std::size_t>(n_));
+  ParallelForShards(n_, DefaultThreadCount(),
+                    [&](int /*shard*/, long long begin, long long end) {
+                      for (long long user = begin; user < end; ++user) {
+                        profiles[user] =
+                            Snapshot(static_cast<int>(user), surveys_seen);
+                      }
+                    });
   return profiles;
 }
 
@@ -229,8 +238,8 @@ ProfileLog SimulateSmpProfileLog(const data::Dataset& dataset,
             const int predicted = channel.ReportAndPredict(
                 dataset.value(static_cast<int>(user), chosen), chosen, r);
             reported[chosen] = true;
-            // A prediction of -1 names no value: it stays out of the
-            // profile, as it always has.
+            // A prediction of -1 names no value, so it stays out of the
+            // profile.
             if (predicted != -1) entries[s] = {chosen, predicted};
           }
         }

@@ -67,7 +67,7 @@ std::unique_ptr<AttackChannel> MakeMetricLdpChannel(
     const std::vector<int>& domain_sizes, double epsilon);
 
 /// What the profiling adversary learned, survey by survey, in one flat
-/// array: entry(user, s) is the (attribute, predicted value) pair that
+/// array: row(user)[s] is the (attribute, predicted value) pair that
 /// `user`'s report in survey s revealed, or attribute -1 when that survey
 /// revealed nothing new (every attribute of the survey already reported
 /// under the uniform metric, or a memoized repeat under the non-uniform
@@ -84,7 +84,7 @@ class ProfileLog {
     int value = -1;      ///< the adversary's prediction of the true value
   };
 
-  ProfileLog() = default;
+  /// n users x num_surveys entries, all "nothing new".
   ProfileLog(int n, int num_surveys);
 
   int n() const { return n_; }

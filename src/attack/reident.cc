@@ -108,7 +108,7 @@ CountBytesAvx512(const std::vector<std::pair<int, int>>& checks,
   const __mmask64 all = ~__mmask64{0};
   MatchCounts counts;
   int r = 0;
-  for (; r + 4 * 64 <= n; r += 4 * 64) {
+  for (; n - r >= 4 * 64; r += 4 * 64) {
     __m512i d0 = _mm512_setzero_si512();
     __m512i d1 = d0;
     __m512i d2 = d0;
@@ -135,8 +135,9 @@ CountBytesAvx512(const std::vector<std::pair<int, int>>& checks,
     TallyAvx512(d3, target, all, counts);
   }
   // The rest one vector at a time; the last one loads and counts only its
-  // live lanes (masked loads never touch the bytes past n).
-  for (; r < n; r += 64) {
+  // live lanes (masked loads never touch the bytes past n). Every loop
+  // bound compares n - r, so r never steps past n, even near INT_MAX.
+  for (; r < n; r += std::min(n - r, 64)) {
     const __mmask64 live =
         n - r >= 64 ? all : (__mmask64{1} << (n - r)) - 1;
     __m512i dist = _mm512_setzero_si512();
@@ -191,7 +192,7 @@ __attribute__((target("avx2,popcnt"))) MatchCounts CountBytesAvx2(
       _mm256_set1_epi8(static_cast<char>(true_matches ^ 0x80));
   MatchCounts counts;
   int r = 0;
-  for (; r + 4 * 32 <= n; r += 4 * 32) {
+  for (; n - r >= 4 * 32; r += 4 * 32) {
     __m256i m0 = _mm256_setzero_si256();
     __m256i m1 = m0;
     __m256i m2 = m0;
@@ -209,7 +210,7 @@ __attribute__((target("avx2,popcnt"))) MatchCounts CountBytesAvx2(
     TallyAvx2(m2, target, counts);
     TallyAvx2(m3, target, counts);
   }
-  for (; r + 32 <= n; r += 32) {
+  for (; n - r >= 32; r += 32) {
     __m256i matches = _mm256_setzero_si256();
     for (const auto& [attr, v] : checks) {
       matches = MatchAvx2(matches, columns[static_cast<std::size_t>(attr)] + r,
