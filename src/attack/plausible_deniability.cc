@@ -17,8 +17,7 @@ double EmpiricalAttackAccPercent(const fo::FrequencyOracle& oracle,
       [&](long long lo, long long hi, Rng& r) {
         long long c = 0;
         for (long long u = lo; u < hi; ++u) {
-          fo::Report rep = oracle.Randomize(values[u], r);
-          if (oracle.AttackPredict(rep, r) == values[u]) ++c;
+          if (oracle.RandomizeAndPredict(values[u], r) == values[u]) ++c;
         }
         return c;
       });
@@ -33,8 +32,7 @@ double MonteCarloAttackAcc(const fo::FrequencyOracle& oracle, int trials,
         long long c = 0;
         for (long long t = lo; t < hi; ++t) {
           int v = static_cast<int>(r.UniformInt(oracle.k()));
-          fo::Report rep = oracle.Randomize(v, r);
-          if (oracle.AttackPredict(rep, r) == v) ++c;
+          if (oracle.RandomizeAndPredict(v, r) == v) ++c;
         }
         return c;
       });
@@ -82,8 +80,7 @@ double MonteCarloProfileAcc(fo::Protocol protocol, double epsilon,
           for (int s = 0; s < d; ++s) {
             const int a = sampled[s];
             if (predicted[a] != -1) continue;  // memoized repeat
-            fo::Report rep = oracles[a]->Randomize(truth[a], r);
-            predicted[a] = oracles[a]->AttackPredict(rep, r);
+            predicted[a] = oracles[a]->RandomizeAndPredict(truth[a], r);
           }
           bool all_correct = true;
           for (int j = 0; j < d; ++j) {

@@ -75,10 +75,18 @@ int FrequencyOracle::RandomizeAndPredict(int value, Rng& rng) const {
   return AttackPredict(Randomize(value, rng), rng);
 }
 
+Report FrequencyOracle::Randomize(int value, Rng& rng) const {
+  Report r;
+  RandomizeInto(value, rng, &r);
+  return r;
+}
+
 void FrequencyOracle::BatchRandomize(const int* values, std::size_t count,
                                      Rng& rng, const ReportSink& sink) const {
+  Report r;
   for (std::size_t i = 0; i < count; ++i) {
-    sink(Randomize(values[i], rng));
+    RandomizeInto(values[i], rng, &r);
+    sink(r);
   }
 }
 
@@ -120,8 +128,8 @@ void Aggregator::FlushStaged() const {
 }
 
 void Aggregator::AccumulateValue(int value, Rng& rng) {
-  Report r = oracle_.Randomize(value, rng);
-  Accumulate(r);
+  oracle_.RandomizeInto(value, rng, &scratch_);
+  Accumulate(scratch_);
 }
 
 void Aggregator::AccumulateValues(const int* values, std::size_t count,

@@ -33,8 +33,9 @@ const char* ProtocolName(Protocol protocol);
 std::vector<Protocol> AllProtocols();
 
 /// One sanitized user report. Protocols use different encodings, so the
-/// struct carries one field per encoding; only the fields relevant to the
-/// emitting protocol are populated.
+/// struct carries one field per encoding; only the emitting protocol's
+/// fields are meaningful (a reused Report may still hold another
+/// protocol's fields, see RandomizeInto).
 struct Report {
   /// GRR: the perturbed value in [0, k). OLH: the perturbed *hashed* value
   /// in [0, g).
@@ -51,7 +52,7 @@ class Aggregator;
 
 /// Receives sanitized reports from BatchRandomize, one call per user. The
 /// Report reference is only valid for the duration of the call:
-/// implementations reuse a single scratch Report across users to avoid
+/// BatchRandomize reuses a single scratch Report across users to avoid
 /// per-user heap traffic, so sinks that need to keep a report must copy it.
 using ReportSink = std::function<void(const Report&)>;
 
@@ -69,15 +70,22 @@ class FrequencyOracle {
   FrequencyOracle(const FrequencyOracle&) = delete;
   FrequencyOracle& operator=(const FrequencyOracle&) = delete;
 
-  /// Client side: sanitizes the true value (in [0, k)) into a report.
-  virtual Report Randomize(int value, Rng& rng) const = 0;
+  /// Client side: sanitizes the true value (in [0, k)) into `*out`, the
+  /// protocol's one client draw that every other client path composes. It
+  /// writes only its own protocol's fields (GRR `value`; OLH `hash_seed` and
+  /// `value`; SS `subset`; UE `bits`), reusing their buffers, and leaves the
+  /// other fields as they were, so one scratch Report serves every call.
+  virtual void RandomizeInto(int value, Rng& rng, Report* out) const = 0;
 
-  /// Client side, batched: sanitizes values[0..count) in order, handing each
-  /// report to `sink`. Draws from `rng` exactly like `count` successive
-  /// Randomize calls (bit-identical stream), but overrides reuse one scratch
-  /// Report so the batch allocates O(1) instead of O(count) heap blocks.
-  virtual void BatchRandomize(const int* values, std::size_t count, Rng& rng,
-                              const ReportSink& sink) const;
+  /// Client side: RandomizeInto a fresh Report.
+  Report Randomize(int value, Rng& rng) const;
+
+  /// Client side, batched: sanitizes values[0..count) in order into one
+  /// reused scratch Report, handing it to `sink` after each value. Draws
+  /// from `rng` exactly like `count` successive Randomize calls
+  /// (bit-identical stream) and allocates O(1) heap blocks per batch.
+  void BatchRandomize(const int* values, std::size_t count, Rng& rng,
+                      const ReportSink& sink) const;
   void BatchRandomize(const std::vector<int>& values, Rng& rng,
                       const ReportSink& sink) const;
 
@@ -95,14 +103,17 @@ class FrequencyOracle {
                                  std::vector<long long>* counts) const = 0;
 
   /// Adversary of Section 3.2.1: predicts the user's true value from one
-  /// report. Ties are broken uniformly at random.
+  /// report. Ties are broken uniformly at random. Throws
+  /// InvalidArgumentError on a report this protocol cannot have emitted
+  /// (wrong bit count or subset size, hashed value outside [0, g)).
   virtual int AttackPredict(const Report& report, Rng& rng) const = 0;
 
   /// Client and adversary fused: sanitizes `value` and returns the
   /// adversary's prediction from that report. Draws from `rng` exactly like
   /// AttackPredict(Randomize(value, rng), rng), which is the default;
-  /// protocol overrides skip the Report and reuse per-thread scratch, so a
-  /// simulated attack makes no per-report heap allocation in steady state.
+  /// protocol overrides run the same draw and prediction routines without
+  /// the Report, on per-thread scratch, so a simulated attack makes no
+  /// per-report heap allocation in steady state.
   virtual int RandomizeAndPredict(int value, Rng& rng) const;
 
   /// Unbiased frequency estimate from support counts over n reports:
@@ -165,9 +176,11 @@ class Aggregator {
   /// flush boundaries fall.
   virtual void Accumulate(const Report& report);
 
-  /// Fused client + server: randomizes `value` and accumulates its support
-  /// directly. Draws from `rng` exactly like Randomize(value, rng)
-  /// (bit-identical stream); protocol overrides skip the Report entirely.
+  /// Fused client + server: randomizes `value` and accumulates its support.
+  /// Draws from `rng` exactly like Randomize(value, rng) (bit-identical
+  /// stream). The default is RandomizeInto a member scratch Report, then
+  /// Accumulate, so UE and OLH values stage into their block kernels; GRR
+  /// and SS override it with a tally over their client draw.
   virtual void AccumulateValue(int value, Rng& rng);
 
   /// AccumulateValue over a span of values.
@@ -290,6 +303,7 @@ class Aggregator {
  private:
   void AllocateStaging(std::size_t stride);
 
+  Report scratch_;  ///< AccumulateValue's reused client report
   std::vector<std::uint8_t> staging_;  ///< wire rows, see StageRowSlot
   std::size_t staging_stride_ = 0;
   int staged_rows_ = 0;

@@ -17,6 +17,16 @@ double KeepProbability(int k, double eps) {
   return e / (e + k - 1);
 }
 
+// The one GRR client draw: keeps `value` with probability `keep`, else
+// reports one of the k - 1 other values uniformly.
+inline int Draw(int value, int k, double keep, Rng& rng) {
+  LDPR_REQUIRE(value >= 0 && value < k,
+               "value " << value << " outside [0, " << k << ")");
+  if (rng.Bernoulli(keep)) return value;
+  const int other = static_cast<int>(rng.UniformInt(k - 1));
+  return other >= value ? other + 1 : other;
+}
+
 }  // namespace
 
 Grr::Grr(int k, double epsilon) : FrequencyOracle(k, epsilon) {
@@ -26,18 +36,11 @@ Grr::Grr(int k, double epsilon) : FrequencyOracle(k, epsilon) {
 
 int Grr::Perturb(int value, int k, double eps, Rng& rng) {
   LDPR_REQUIRE(k >= 2 && eps > 0.0, "GRR perturb requires k >= 2, eps > 0");
-  LDPR_REQUIRE(value >= 0 && value < k,
-               "value " << value << " outside [0, " << k << ")");
-  if (rng.Bernoulli(KeepProbability(k, eps))) return value;
-  // Uniform over the k-1 other values.
-  int other = static_cast<int>(rng.UniformInt(k - 1));
-  return other >= value ? other + 1 : other;
+  return Draw(value, k, KeepProbability(k, eps), rng);
 }
 
-Report Grr::Randomize(int value, Rng& rng) const {
-  Report r;
-  r.value = Perturb(value, k(), epsilon(), rng);
-  return r;
+void Grr::RandomizeInto(int value, Rng& rng, Report* out) const {
+  out->value = Draw(value, k(), p(), rng);
 }
 
 void Grr::AccumulateSupport(const Report& report,
@@ -53,13 +56,8 @@ int Grr::AttackPredict(const Report& report, Rng& /*rng*/) const {
 }
 
 int Grr::RandomizeAndPredict(int value, Rng& rng) const {
-  const int k = this->k();
-  LDPR_REQUIRE(value >= 0 && value < k,
-               "value " << value << " outside [0, " << k << ")");
-  // Same draws as Perturb; the prediction is the report itself.
-  if (rng.Bernoulli(p())) return value;
-  int other = static_cast<int>(rng.UniformInt(k - 1));
-  return other >= value ? other + 1 : other;
+  // The prediction is the report itself.
+  return Draw(value, k(), p(), rng);
 }
 
 namespace {
@@ -69,16 +67,7 @@ class GrrAggregator : public Aggregator {
   using Aggregator::Aggregator;
 
   void AccumulateValue(int value, Rng& rng) override {
-    const int k = oracle_.k();
-    LDPR_REQUIRE(value >= 0 && value < k,
-                 "value " << value << " outside [0, " << k << ")");
-    // Same draws as Grr::Perturb, tallied without building a Report.
-    if (rng.Bernoulli(oracle_.p())) {
-      ++counts_[value];
-    } else {
-      int other = static_cast<int>(rng.UniformInt(k - 1));
-      ++counts_[other >= value ? other + 1 : other];
-    }
+    ++counts_[Draw(value, oracle_.k(), oracle_.p(), rng)];
     ++n_;
   }
 

@@ -16,7 +16,7 @@ class Grr : public FrequencyOracle {
  public:
   Grr(int k, double epsilon);
 
-  Report Randomize(int value, Rng& rng) const override;
+  void RandomizeInto(int value, Rng& rng, Report* out) const override;
   void AccumulateSupport(const Report& report,
                          std::vector<long long>* counts) const override;
   int AttackPredict(const Report& report, Rng& rng) const override;

@@ -1,14 +1,14 @@
 #include "fo/olh.h"
 
+#include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
-#include <string_view>
 #include <vector>
 
 #include "core/check.h"
 #include "core/hash.h"
 #include "fo/bitslice.h"
+#include "fo/olh_kernel.h"
 #include "fo/wire.h"
 
 #if defined(__x86_64__) && defined(__GNUC__)
@@ -33,20 +33,46 @@ Olh::Olh(int k, double epsilon, int g) : FrequencyOracle(k, epsilon) {
   SetProbabilities(p_prime_, 1.0 / g_);
 }
 
-Report Olh::Randomize(int value, Rng& rng) const {
-  LDPR_REQUIRE(value >= 0 && value < k(), "OLH value out of range");
-  Report r;
-  r.hash_seed = rng();
-  UniversalHash h(r.hash_seed, g_);
-  const int hashed = h(value);
-  // GRR inside the reduced domain [g].
-  if (rng.Bernoulli(p_prime_)) {
-    r.value = hashed;
-  } else {
-    int other = static_cast<int>(rng.UniformInt(g_ - 1));
-    r.value = other >= hashed ? other + 1 : other;
+namespace {
+
+// One OLH report: the hash function's seed and the reported cell in [g].
+struct HashedReport {
+  std::uint64_t seed;
+  int cell;
+};
+
+// The one OLH client draw: a hash function from the universal family, then
+// GRR on the hashed value inside the reduced domain [g].
+HashedReport Draw(const Olh& olh, int value, Rng& rng) {
+  LDPR_REQUIRE(value >= 0 && value < olh.k(), "OLH value out of range");
+  const std::uint64_t seed = rng();
+  const int hashed = UniversalHash(seed, olh.g())(value);
+  if (rng.Bernoulli(olh.p_prime())) return {seed, hashed};
+  const int other = static_cast<int>(rng.UniformInt(olh.g() - 1));
+  return {seed, other >= hashed ? other + 1 : other};
+}
+
+// The adversary's pick: the most likely true values are those hashing to
+// the reported cell; pick one uniformly. An empty preimage carries no
+// information, so fall back to a uniform guess over the whole domain.
+int GuessFromPreimage(const Olh& olh, const HashedReport& report, Rng& rng) {
+  thread_local std::vector<int> scratch;
+  std::vector<int>& preimage = scratch;
+  preimage.clear();
+  const UniversalHash h(report.seed, olh.g());
+  for (int v = 0; v < olh.k(); ++v) {
+    if (h(v) == report.cell) preimage.push_back(v);
   }
-  return r;
+  if (preimage.empty()) return static_cast<int>(rng.UniformInt(olh.k()));
+  return preimage[rng.UniformInt(preimage.size())];
+}
+
+}  // namespace
+
+void Olh::RandomizeInto(int value, Rng& rng, Report* out) const {
+  const HashedReport r = Draw(*this, value, rng);
+  out->hash_seed = r.seed;
+  out->value = r.cell;
 }
 
 void Olh::AccumulateSupport(const Report& report,
@@ -286,27 +312,38 @@ __attribute__((target("avx512f,avx512dq"))) void SweepValuesAvx512(
 
 #endif  // LDPR_OLH_SIMD
 
-enum class OlhKernel { kScalar, kAvx2, kAvx512 };
+}  // namespace
 
-/// Picks the widest kernel the CPU supports, once per aggregator. The
-/// LDPR_OLH_KERNEL env var ("scalar" | "avx2" | "avx512") forces a
-/// supported tier — the differential tests use it to pin every
-/// implementation, not just the auto-dispatched one.
-OlhKernel DetectOlhKernel() {
+namespace olh_internal {
+
+std::vector<OlhKernel> SupportedOlhKernels() {
+  std::vector<OlhKernel> kernels = {OlhKernel::kScalar};
 #if LDPR_OLH_SIMD
-  const bool has_avx512 = __builtin_cpu_supports("avx512dq") != 0;
-  const bool has_avx2 = __builtin_cpu_supports("avx2") != 0;
-  if (const char* force = std::getenv("LDPR_OLH_KERNEL")) {
-    const std::string_view f(force);
-    if (f == "scalar") return OlhKernel::kScalar;
-    if (f == "avx2" && has_avx2) return OlhKernel::kAvx2;
-    if (f == "avx512" && has_avx512) return OlhKernel::kAvx512;
+  if (__builtin_cpu_supports("avx2")) kernels.push_back(OlhKernel::kAvx2);
+  if (__builtin_cpu_supports("avx512dq")) {
+    kernels.push_back(OlhKernel::kAvx512);
   }
-  if (has_avx512) return OlhKernel::kAvx512;
-  if (has_avx2) return OlhKernel::kAvx2;
 #endif
-  return OlhKernel::kScalar;
+  return kernels;
 }
+
+const char* OlhKernelName(OlhKernel kernel) {
+  switch (kernel) {
+    case OlhKernel::kScalar:
+      return "scalar";
+    case OlhKernel::kAvx2:
+      return "avx2";
+    case OlhKernel::kAvx512:
+      return "avx512";
+  }
+  return "unknown";
+}
+
+}  // namespace olh_internal
+
+namespace {
+
+using olh_internal::OlhKernel;
 
 void SweepValues(OlhKernel kernel, const std::uint64_t* preseed,
                  const std::uint64_t* reported, int count,
@@ -329,7 +366,8 @@ void SweepValues(OlhKernel kernel, const std::uint64_t* preseed,
 
 class OlhAggregator : public Aggregator {
  public:
-  explicit OlhAggregator(const Olh& oracle) : Aggregator(oracle) {}
+  OlhAggregator(const Olh& oracle, OlhKernel kernel)
+      : Aggregator(oracle), kernel_(kernel) {}
 
   void Accumulate(const Report& report) override {
     // Stage the (seed, hashed value) pair as its SerializeReport image —
@@ -353,29 +391,6 @@ class OlhAggregator : public Aggregator {
       row[8 + b] = static_cast<std::uint8_t>(v >> (8 * (vbytes - 1 - b)));
     }
     CommitStagedRow();
-  }
-
-  void AccumulateValue(int value, Rng& rng) override {
-    const Olh& olh = static_cast<const Olh&>(oracle_);
-    const int k = olh.k();
-    const int g = olh.g();
-    LDPR_REQUIRE(value >= 0 && value < k, "OLH value out of range");
-    // Same draws as Olh::Randomize, with the server-side preimage walk
-    // fused in.
-    const std::uint64_t seed = rng();
-    UniversalHash h(seed, g);
-    const int hashed = h(value);
-    int reported;
-    if (rng.Bernoulli(olh.p_prime())) {
-      reported = hashed;
-    } else {
-      int other = static_cast<int>(rng.UniformInt(g - 1));
-      reported = other >= hashed ? other + 1 : other;
-    }
-    for (int v = 0; v < k; ++v) {
-      if (h(v) == reported) ++counts_[v];
-    }
-    ++n_;
   }
 
   void AccumulateWireBlock(const std::uint8_t* frames, std::size_t stride,
@@ -415,7 +430,7 @@ class OlhAggregator : public Aggregator {
   }
 
  private:
-  const OlhKernel kernel_ = DetectOlhKernel();
+  const OlhKernel kernel_;
   std::vector<std::uint64_t> value_mix_;  ///< per-value input-only hash half
   std::vector<std::uint64_t> preseed_;    ///< block scratch: biased seeds
   std::vector<std::uint64_t> reported_;   ///< block scratch: hashed values
@@ -426,40 +441,28 @@ class OlhAggregator : public Aggregator {
 }  // namespace
 
 std::unique_ptr<Aggregator> Olh::MakeAggregator() const {
-  return std::make_unique<OlhAggregator>(*this);
+  // The widest tier the CPU runs.
+  return std::make_unique<OlhAggregator>(
+      *this, olh_internal::SupportedOlhKernels().back());
+}
+
+std::unique_ptr<Aggregator> olh_internal::MakeAggregatorWithKernel(
+    const Olh& oracle, OlhKernel kernel) {
+  const std::vector<OlhKernel> supported = SupportedOlhKernels();
+  LDPR_REQUIRE(
+      std::find(supported.begin(), supported.end(), kernel) != supported.end(),
+      "OLH kernel " << OlhKernelName(kernel) << " is not supported here");
+  return std::make_unique<OlhAggregator>(oracle, kernel);
 }
 
 int Olh::RandomizeAndPredict(int value, Rng& rng) const {
-  LDPR_REQUIRE(value >= 0 && value < k(), "OLH value out of range");
-  // Same draws as Randomize then AttackPredict, the preimage gathered in
-  // per-thread scratch.
-  UniversalHash h(rng(), g_);
-  const int hashed = h(value);
-  int reported = hashed;
-  if (!rng.Bernoulli(p_prime_)) {
-    const int other = static_cast<int>(rng.UniformInt(g_ - 1));
-    reported = other >= hashed ? other + 1 : other;
-  }
-  thread_local std::vector<int> preimage;
-  preimage.clear();
-  for (int v = 0; v < k(); ++v) {
-    if (h(v) == reported) preimage.push_back(v);
-  }
-  if (preimage.empty()) return static_cast<int>(rng.UniformInt(k()));
-  return preimage[rng.UniformInt(preimage.size())];
+  return GuessFromPreimage(*this, Draw(*this, value, rng), rng);
 }
 
 int Olh::AttackPredict(const Report& report, Rng& rng) const {
-  // The most likely true values are those hashing to the reported cell;
-  // pick one uniformly. An empty preimage carries no information, so fall
-  // back to a uniform guess over the whole domain.
-  UniversalHash h(report.hash_seed, g_);
-  std::vector<int> preimage;
-  for (int v = 0; v < k(); ++v) {
-    if (h(v) == report.value) preimage.push_back(v);
-  }
-  if (preimage.empty()) return static_cast<int>(rng.UniformInt(k()));
-  return preimage[rng.UniformInt(preimage.size())];
+  LDPR_REQUIRE(report.value >= 0 && report.value < g_,
+               "OLH report value out of range");
+  return GuessFromPreimage(*this, {report.hash_seed, report.value}, rng);
 }
 
 }  // namespace ldpr::fo

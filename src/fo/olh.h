@@ -27,15 +27,16 @@ class Olh : public FrequencyOracle {
   /// minimizes the estimator variance). Used by the g-sweep ablation.
   Olh(int k, double epsilon, int g);
 
-  Report Randomize(int value, Rng& rng) const override;
+  void RandomizeInto(int value, Rng& rng, Report* out) const override;
   void AccumulateSupport(const Report& report,
                          std::vector<long long>* counts) const override;
   int AttackPredict(const Report& report, Rng& rng) const override;
   int RandomizeAndPredict(int value, Rng& rng) const override;
   Protocol protocol() const override { return Protocol::kOlh; }
 
-  /// Fused hashed-support counting: randomizes in the reduced domain and
-  /// walks the hash preimage straight into the counts, no Report in between.
+  /// Hashed-support counting: reports and values (through RandomizeInto)
+  /// stage into a batched preimage kernel, the widest instruction tier the
+  /// CPU runs (fo/olh_kernel.h).
   std::unique_ptr<Aggregator> MakeAggregator() const override;
 
   /// The reduced domain size g = round(e^eps) + 1 (at least 2).

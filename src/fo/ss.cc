@@ -23,6 +23,32 @@ Ss::Ss(int k, double epsilon) : FrequencyOracle(k, epsilon) {
 
 namespace {
 
+// The one SS client draw: samples Omega for `value` into (*scratch)[0,
+// omega), unsorted; the rest of `*scratch` (size k - 1) is index scratch.
+// Every client path calls this.
+void DrawMembers(const Ss& ss, int value, Rng& rng,
+                 std::vector<int>* scratch) {
+  const int k = ss.k();
+  LDPR_REQUIRE(value >= 0 && value < k, "SS value out of range");
+  const bool include_true = rng.Bernoulli(ss.p());
+  // Sample the remaining slots from the k-1 other values, without
+  // replacement; indices >= `value` in the reduced space map to index + 1.
+  const int extra = include_true ? ss.omega() - 1 : ss.omega();
+  rng.SampleWithoutReplacementInto(k - 1, extra, scratch);
+  std::vector<int>& members = *scratch;
+  for (int j = 0; j < extra; ++j) {
+    const int o = members[j];
+    members[j] = o >= value ? o + 1 : o;
+  }
+  if (include_true) members[extra] = value;  // extra < omega <= k - 1
+}
+
+// The adversary's pick: every member of Omega is equally likely a priori,
+// so it guesses the member of uniform rank j in [0, omega).
+std::ptrdiff_t GuessRank(int omega, Rng& rng) {
+  return static_cast<std::ptrdiff_t>(rng.UniformInt(omega));
+}
+
 class SsAggregator : public Aggregator {
  public:
   explicit SsAggregator(const Ss& oracle)
@@ -33,18 +59,11 @@ class SsAggregator : public Aggregator {
         table_(oracle.omega(), width_) {}
 
   void AccumulateValue(int value, Rng& rng) override {
+    // Omega's tallies do not depend on its order, so skip RandomizeInto's
+    // sort.
     const Ss& ss = static_cast<const Ss&>(oracle_);
-    const int k = ss.k();
-    LDPR_REQUIRE(value >= 0 && value < k, "SS value out of range");
-    // Same draws as Ss::Randomize (the sort there consumes no randomness).
-    const bool include_true = rng.Bernoulli(ss.p());
-    const int extra = include_true ? ss.omega() - 1 : ss.omega();
-    rng.SampleWithoutReplacementInto(k - 1, extra, &scratch_);
-    if (include_true) ++counts_[value];
-    for (int i = 0; i < extra; ++i) {
-      const int o = scratch_[i];
-      ++counts_[o >= value ? o + 1 : o];
-    }
+    DrawMembers(ss, value, rng, &scratch_);
+    for (int i = 0; i < ss.omega(); ++i) ++counts_[scratch_[i]];
     ++n_;
   }
 
@@ -131,41 +150,11 @@ std::unique_ptr<Aggregator> Ss::MakeAggregator() const {
   return std::make_unique<SsAggregator>(*this);
 }
 
-void Ss::BatchRandomize(const int* values, std::size_t count, Rng& rng,
-                        const ReportSink& sink) const {
-  Report r;
-  r.subset.reserve(omega_);
-  std::vector<int> scratch;
-  for (std::size_t i = 0; i < count; ++i) {
-    const int value = values[i];
-    LDPR_REQUIRE(value >= 0 && value < k(), "SS value out of range");
-    const bool include_true = rng.Bernoulli(p());
-    const int extra = include_true ? omega_ - 1 : omega_;
-    rng.SampleWithoutReplacementInto(k() - 1, extra, &scratch);
-    r.subset.clear();
-    if (include_true) r.subset.push_back(value);
-    for (int j = 0; j < extra; ++j) {
-      const int o = scratch[j];
-      r.subset.push_back(o >= value ? o + 1 : o);
-    }
-    std::sort(r.subset.begin(), r.subset.end());
-    sink(r);
-  }
-}
-
-Report Ss::Randomize(int value, Rng& rng) const {
-  LDPR_REQUIRE(value >= 0 && value < k(), "SS value out of range");
-  Report r;
-  const bool include_true = rng.Bernoulli(p());
-  // Sample the remaining slots from the k-1 other values, without
-  // replacement; indices >= `value` in the reduced space map to index + 1.
-  const int extra = include_true ? omega_ - 1 : omega_;
-  std::vector<int> others = rng.SampleWithoutReplacement(k() - 1, extra);
-  r.subset.reserve(omega_);
-  if (include_true) r.subset.push_back(value);
-  for (int o : others) r.subset.push_back(o >= value ? o + 1 : o);
-  std::sort(r.subset.begin(), r.subset.end());
-  return r;
+void Ss::RandomizeInto(int value, Rng& rng, Report* out) const {
+  thread_local std::vector<int> scratch;
+  DrawMembers(*this, value, rng, &scratch);
+  out->subset.assign(scratch.begin(), scratch.begin() + omega_);
+  std::sort(out->subset.begin(), out->subset.end());
 }
 
 void Ss::AccumulateSupport(const Report& report,
@@ -180,28 +169,22 @@ void Ss::AccumulateSupport(const Report& report,
 }
 
 int Ss::RandomizeAndPredict(int value, Rng& rng) const {
-  LDPR_REQUIRE(value >= 0 && value < k(), "SS value out of range");
-  // Same draws as Randomize then AttackPredict. The guess is the j-th
-  // smallest member of Omega, so nth_element stands in for the full sort.
-  thread_local std::vector<int> subset;
-  const bool include_true = rng.Bernoulli(p());
-  const int extra = include_true ? omega_ - 1 : omega_;
-  rng.SampleWithoutReplacementInto(k() - 1, extra, &subset);
-  for (int j = 0; j < extra; ++j) {
-    const int o = subset[j];
-    subset[j] = o >= value ? o + 1 : o;
-  }
-  if (include_true) subset[extra] = value;  // extra < omega <= k - 1
-  const auto j = static_cast<std::ptrdiff_t>(rng.UniformInt(omega_));
-  std::nth_element(subset.begin(), subset.begin() + j,
-                   subset.begin() + omega_);
-  return subset[j];
+  // The guess is the member of rank j, so nth_element stands in for
+  // RandomizeInto's full sort.
+  thread_local std::vector<int> scratch;
+  DrawMembers(*this, value, rng, &scratch);
+  const std::ptrdiff_t j = GuessRank(omega_, rng);
+  std::nth_element(scratch.begin(), scratch.begin() + j,
+                   scratch.begin() + omega_);
+  return scratch[j];
 }
 
 int Ss::AttackPredict(const Report& report, Rng& rng) const {
-  // Every subset member is equally likely a priori; guess uniformly in Omega.
-  LDPR_CHECK(!report.subset.empty(), "SS report has an empty subset");
-  return report.subset[rng.UniformInt(report.subset.size())];
+  // Reports hold Omega in ascending order, so rank j is position j.
+  LDPR_REQUIRE(static_cast<int>(report.subset.size()) == omega_,
+               "SS report subset size " << report.subset.size()
+                                        << " != omega " << omega_);
+  return report.subset[GuessRank(omega_, rng)];
 }
 
 }  // namespace ldpr::fo

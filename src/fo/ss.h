@@ -20,19 +20,14 @@ class Ss : public FrequencyOracle {
  public:
   Ss(int k, double epsilon);
 
-  Report Randomize(int value, Rng& rng) const override;
+  void RandomizeInto(int value, Rng& rng, Report* out) const override;
   void AccumulateSupport(const Report& report,
                          std::vector<long long>* counts) const override;
   int AttackPredict(const Report& report, Rng& rng) const override;
   int RandomizeAndPredict(int value, Rng& rng) const override;
   Protocol protocol() const override { return Protocol::kSs; }
 
-  /// Batched randomizer reusing one scratch subset across users.
-  void BatchRandomize(const int* values, std::size_t count, Rng& rng,
-                      const ReportSink& sink) const override;
-  using FrequencyOracle::BatchRandomize;
-
-  /// Fused subset tallies: samples Omega with a reusable index buffer and
+  /// Fused subset tallies: draws Omega into a reusable index buffer and
   /// increments the counts directly, never materializing a Report.
   std::unique_ptr<Aggregator> MakeAggregator() const override;
 

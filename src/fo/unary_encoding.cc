@@ -13,27 +13,36 @@ UnaryEncoding::UnaryEncoding(int k, double epsilon, double p, double q)
   SetProbabilities(p, q);
 }
 
-std::vector<std::uint8_t> UnaryEncoding::OneHot(int value, int k) {
+namespace {
+
+// The one UE client draw: draws each bit of `value`'s one-hot encoding
+// through the flip channel (Pr[1] = p at `value`, q elsewhere), in
+// ascending order, and hands each to on_bit(i, set).
+template <typename OnBit>
+inline void DrawBits(const UnaryEncoding& ue, int value, Rng& rng,
+                     OnBit&& on_bit) {
+  const int k = ue.k();
   LDPR_REQUIRE(value >= 0 && value < k,
-               "OneHot value " << value << " outside [0, " << k << ")");
-  std::vector<std::uint8_t> bits(k, 0);
-  bits[value] = 1;
-  return bits;
+               "UE value " << value << " outside [0, " << k << ")");
+  const double p = ue.p();
+  const double q = ue.q();
+  for (int i = 0; i < k; ++i) on_bit(i, rng.Bernoulli(i == value ? p : q));
 }
 
-std::vector<std::uint8_t> UnaryEncoding::PerturbBits(
-    const std::vector<std::uint8_t>& input, double p, double q, Rng& rng) {
-  std::vector<std::uint8_t> out(input.size());
-  for (std::size_t i = 0; i < input.size(); ++i) {
-    out[i] = rng.Bernoulli(input[i] ? p : q) ? 1 : 0;
-  }
-  return out;
+// The adversary's pick from a report's set bits: exactly one -> it;
+// several -> uniform among them; none -> uniform over the domain.
+int GuessFromSetBits(const std::vector<int>& set_bits, int k, Rng& rng) {
+  if (set_bits.empty()) return static_cast<int>(rng.UniformInt(k));
+  if (set_bits.size() == 1) return set_bits[0];
+  return set_bits[rng.UniformInt(set_bits.size())];
 }
 
-Report UnaryEncoding::Randomize(int value, Rng& rng) const {
-  Report r;
-  r.bits = PerturbBits(OneHot(value, k()), p(), q(), rng);
-  return r;
+}  // namespace
+
+void UnaryEncoding::RandomizeInto(int value, Rng& rng, Report* out) const {
+  out->bits.resize(k());
+  std::uint8_t* bits = out->bits.data();
+  DrawBits(*this, value, rng, [bits](int i, bool set) { bits[i] = set; });
 }
 
 void UnaryEncoding::AccumulateSupport(const Report& report,
@@ -83,20 +92,6 @@ class UeAggregator : public Aggregator {
       row[byte] = static_cast<std::uint8_t>(tail);
     }
     CommitStagedRow();
-  }
-
-  void AccumulateValue(int value, Rng& rng) override {
-    const int k = oracle_.k();
-    LDPR_REQUIRE(value >= 0 && value < k,
-                 "OneHot value " << value << " outside [0, " << k << ")");
-    // Same ascending per-bit draws as OneHot + PerturbBits, summed into the
-    // columns directly.
-    const double p = oracle_.p();
-    const double q = oracle_.q();
-    for (int i = 0; i < k; ++i) {
-      if (rng.Bernoulli(i == value ? p : q)) ++counts_[i];
-    }
-    ++n_;
   }
 
   void AccumulateWireBlock(const std::uint8_t* frames, std::size_t stride,
@@ -150,47 +145,28 @@ std::unique_ptr<Aggregator> UnaryEncoding::MakeAggregator() const {
   return std::make_unique<UeAggregator>(*this);
 }
 
-void UnaryEncoding::BatchRandomize(const int* values, std::size_t count,
-                                   Rng& rng, const ReportSink& sink) const {
-  Report r;
-  r.bits.resize(k());
-  for (std::size_t i = 0; i < count; ++i) {
-    const int value = values[i];
-    LDPR_REQUIRE(value >= 0 && value < k(),
-                 "OneHot value " << value << " outside [0, " << k() << ")");
-    for (int b = 0; b < k(); ++b) {
-      r.bits[b] = rng.Bernoulli(b == value ? p() : q()) ? 1 : 0;
-    }
-    sink(r);
-  }
-}
-
 int UnaryEncoding::AttackPredict(const Report& report, Rng& rng) const {
-  std::vector<int> set_bits;
+  LDPR_REQUIRE(static_cast<int>(report.bits.size()) == k(),
+               "UE report has " << report.bits.size() << " bits, expected "
+                                << k());
+  thread_local std::vector<int> set_bits;
+  set_bits.clear();
   for (int v = 0; v < k(); ++v) {
     if (report.bits[v]) set_bits.push_back(v);
   }
-  if (set_bits.empty()) return static_cast<int>(rng.UniformInt(k()));
-  if (set_bits.size() == 1) return set_bits[0];
-  return set_bits[rng.UniformInt(set_bits.size())];
+  return GuessFromSetBits(set_bits, k(), rng);
 }
 
 int UnaryEncoding::RandomizeAndPredict(int value, Rng& rng) const {
-  const int k = this->k();
-  LDPR_REQUIRE(value >= 0 && value < k,
-               "OneHot value " << value << " outside [0, " << k << ")");
-  // Same ascending per-bit draws as OneHot + PerturbBits, then
-  // AttackPredict's choice among the set bits, with no bit vector.
-  thread_local std::vector<int> set_bits;
+  // The same draw and pick as RandomizeInto then AttackPredict, gathering
+  // the set bits without a bit vector.
+  thread_local std::vector<int> scratch;
+  std::vector<int>& set_bits = scratch;
   set_bits.clear();
-  const double p = this->p();
-  const double q = this->q();
-  for (int i = 0; i < k; ++i) {
-    if (rng.Bernoulli(i == value ? p : q)) set_bits.push_back(i);
-  }
-  if (set_bits.empty()) return static_cast<int>(rng.UniformInt(k));
-  if (set_bits.size() == 1) return set_bits[0];
-  return set_bits[rng.UniformInt(set_bits.size())];
+  DrawBits(*this, value, rng, [&set_bits](int i, bool set) {
+    if (set) set_bits.push_back(i);
+  });
+  return GuessFromSetBits(set_bits, k(), rng);
 }
 
 double Sue::PForEpsilon(double epsilon) {

@@ -21,29 +21,15 @@ class UnaryEncoding : public FrequencyOracle {
   /// the Sue / Oue subclasses unless experimenting with custom parameters.
   UnaryEncoding(int k, double epsilon, double p, double q);
 
-  Report Randomize(int value, Rng& rng) const override;
+  void RandomizeInto(int value, Rng& rng, Report* out) const override;
   void AccumulateSupport(const Report& report,
                          std::vector<long long>* counts) const override;
   int AttackPredict(const Report& report, Rng& rng) const override;
   int RandomizeAndPredict(int value, Rng& rng) const override;
 
-  /// Batched randomizer perturbing into one reused k-bit scratch vector.
-  void BatchRandomize(const int* values, std::size_t count, Rng& rng,
-                      const ReportSink& sink) const override;
-  using FrequencyOracle::BatchRandomize;
-
-  /// Fused bit-column sums: each sanitized bit is drawn and folded into its
-  /// column count in place — no one-hot input, no output vector, no Report.
+  /// Bit-column sums: reports and values (through RandomizeInto) stage
+  /// into a SWAR block kernel.
   std::unique_ptr<Aggregator> MakeAggregator() const override;
-
-  /// Applies the bit-flip channel to an arbitrary input bit vector. This is
-  /// the primitive RS+FD reuses to build fake reports from zero vectors
-  /// (UE-z) and from random one-hot vectors (UE-r).
-  static std::vector<std::uint8_t> PerturbBits(
-      const std::vector<std::uint8_t>& input, double p, double q, Rng& rng);
-
-  /// One-hot encodes `value` into a k-bit vector.
-  static std::vector<std::uint8_t> OneHot(int value, int k);
 };
 
 /// Symmetric UE, a.k.a. Basic One-time RAPPOR (Erlingsson et al. 2014).

@@ -5,7 +5,7 @@
 // WireDecoder::DecodeInto loop — including ragged tails (counts that are not
 // multiples of 64 or of bitslice::kBlockRows), partial flushes at arbitrary
 // boundaries, interleaved Merge of block-fed shards, and every OLH kernel
-// tier (scalar / AVX2 / AVX-512, forced via LDPR_OLH_KERNEL). Also pins the
+// tier the host supports (scalar / AVX2 / AVX-512). Also pins the
 // two arithmetic tricks the kernels rest on: the multiplicative-inverse
 // divisibility test against plain %, and Validate against DecodeInto's
 // accept set on adversarial buffers.
@@ -13,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <tuple>
@@ -22,6 +21,8 @@
 #include "core/rng.h"
 #include "fo/bitslice.h"
 #include "fo/factory.h"
+#include "fo/olh.h"
+#include "fo/olh_kernel.h"
 #include "fo/ss.h"
 #include "fo/wire.h"
 
@@ -457,9 +458,9 @@ INSTANTIATE_TEST_SUITE_P(
     OmegaGridName);
 
 // The OLH block kernel dispatches between scalar, AVX2, and AVX-512 tiers at
-// aggregator construction; LDPR_OLH_KERNEL forces a tier (honored only when
-// the CPU supports it, so this test passes — in the scalar tier — on any
-// machine). Every tier must produce bit-identical counts.
+// aggregator construction, to the widest the CPU supports. Every tier the
+// host supports (at least the scalar one, on any machine) must produce
+// bit-identical counts.
 TEST(BitsliceOlhKernelTest, AllKernelTiersMatchScalarBitwise) {
   auto oracle = MakeOracle(Protocol::kOlh, 150, kEpsilon);
   const auto frames = MakeFrames(*oracle, 500, kSeed);
@@ -468,14 +469,15 @@ TEST(BitsliceOlhKernelTest, AllKernelTiersMatchScalarBitwise) {
   const auto staged = StageRows(frames, stride, 0, 500);
   const auto expected = ScalarReference(*oracle, frames);
 
-  for (const char* kernel : {"scalar", "avx2", "avx512"}) {
-    ::setenv("LDPR_OLH_KERNEL", kernel, 1);
-    auto agg = oracle->MakeAggregator();  // fresh: dispatch is per-aggregator
+  const auto& olh = static_cast<const Olh&>(*oracle);
+  for (const olh_internal::OlhKernel kernel :
+       olh_internal::SupportedOlhKernels()) {
+    const char* name = olh_internal::OlhKernelName(kernel);
+    auto agg = olh_internal::MakeAggregatorWithKernel(olh, kernel);
     agg->AccumulateWireBlock(staged.data(), stride, 500);
-    EXPECT_EQ(agg->counts(), expected->counts()) << "kernel=" << kernel;
-    EXPECT_EQ(agg->n(), expected->n()) << "kernel=" << kernel;
+    EXPECT_EQ(agg->counts(), expected->counts()) << "kernel=" << name;
+    EXPECT_EQ(agg->n(), expected->n()) << "kernel=" << name;
   }
-  ::unsetenv("LDPR_OLH_KERNEL");
 }
 
 // The OLH kernel replaces `h % g == val` with a multiplicative-inverse

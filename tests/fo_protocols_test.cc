@@ -1,5 +1,8 @@
 #include <cmath>
+#include <memory>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -281,21 +284,32 @@ TEST(SsTest, SubsetSizeAndMembership) {
   EXPECT_NEAR(static_cast<double>(contains_true) / trials, ss.p(), 0.01);
 }
 
+// A unary encoding with caller-chosen flip probabilities.
+class FlipChannel : public UnaryEncoding {
+ public:
+  using UnaryEncoding::UnaryEncoding;
+  Protocol protocol() const override { return Protocol::kOue; }
+};
+
 TEST(UnaryEncodingTest, OneHot) {
-  auto bits = UnaryEncoding::OneHot(2, 5);
-  EXPECT_EQ(bits, (std::vector<std::uint8_t>{0, 0, 1, 0, 0}));
-  EXPECT_THROW(UnaryEncoding::OneHot(5, 5), InvalidArgumentError);
-  EXPECT_THROW(UnaryEncoding::OneHot(-1, 5), InvalidArgumentError);
+  // p = 1, q = 0 reports the one-hot encoding itself.
+  FlipChannel one_hot(5, 1.0, 1.0, 0.0);
+  Rng rng(3);
+  EXPECT_EQ(one_hot.Randomize(2, rng).bits,
+            (std::vector<std::uint8_t>{0, 0, 1, 0, 0}));
+  EXPECT_THROW(one_hot.Randomize(5, rng), InvalidArgumentError);
+  EXPECT_THROW(one_hot.Randomize(-1, rng), InvalidArgumentError);
 }
 
-TEST(UnaryEncodingTest, PerturbBitsRates) {
+TEST(UnaryEncodingTest, FlipRates) {
+  FlipChannel channel(2, 1.0, 0.75, 0.2);
   Rng rng(3);
-  std::vector<std::uint8_t> ones(1, 1), zeros(1, 0);
   int kept = 0, flipped = 0;
   const int trials = 50000;
   for (int t = 0; t < trials; ++t) {
-    kept += UnaryEncoding::PerturbBits(ones, 0.75, 0.2, rng)[0];
-    flipped += UnaryEncoding::PerturbBits(zeros, 0.75, 0.2, rng)[0];
+    const Report r = channel.Randomize(0, rng);
+    kept += r.bits[0];
+    flipped += r.bits[1];
   }
   EXPECT_NEAR(static_cast<double>(kept) / trials, 0.75, 0.01);
   EXPECT_NEAR(static_cast<double>(flipped) / trials, 0.2, 0.01);
@@ -410,6 +424,118 @@ TEST(RandomizeAndPredictTest, RejectsOutOfDomainValues) {
     EXPECT_THROW(oracle->RandomizeAndPredict(5, rng), InvalidArgumentError)
         << ProtocolName(protocol);
   }
+}
+
+// The oracles of the interleaved reuse tests: every protocol at small and
+// large domains (so a reused report's subset and bit vector both grow and
+// shrink) and at a tight and a loose budget.
+std::vector<std::unique_ptr<FrequencyOracle>> InterleavedOracles() {
+  std::vector<std::unique_ptr<FrequencyOracle>> oracles;
+  for (Protocol protocol : AllProtocols()) {
+    for (int k : {2, 3, 74, 300}) {
+      for (double eps : {0.5, 4.0}) {
+        oracles.push_back(MakeOracle(protocol, k, eps));
+      }
+    }
+  }
+  return oracles;
+}
+
+std::string Describe(const FrequencyOracle& oracle) {
+  return std::string(ProtocolName(oracle.protocol())) +
+         " k=" + std::to_string(oracle.k()) +
+         " eps=" + std::to_string(oracle.epsilon());
+}
+
+// One Report reused across oracles of every protocol in random order must
+// carry exactly the fields a fresh Randomize returns (value and size), leave
+// the other protocols' fields as they were, and consume the same draws.
+TEST(RandomizeIntoTest, ReusedReportMatchesFreshRandomize) {
+  const auto oracles = InterleavedOracles();
+  Rng order(5), values(6);
+  Rng into_rng(77), fresh_rng(77);
+  Report reused;
+  for (int round = 0; round < 40; ++round) {
+    for (int t = 0; t < static_cast<int>(oracles.size()); ++t) {
+      const FrequencyOracle& oracle =
+          *oracles[order.UniformInt(oracles.size())];
+      const int v = static_cast<int>(values.UniformInt(oracle.k()));
+      const Report before = reused;
+      oracle.RandomizeInto(v, into_rng, &reused);
+      const Report fresh = oracle.Randomize(v, fresh_rng);
+      SCOPED_TRACE(Describe(oracle) + " round " + std::to_string(round));
+      const Protocol protocol = oracle.protocol();
+      const bool grr_or_olh =
+          protocol == Protocol::kGrr || protocol == Protocol::kOlh;
+      const bool ue = protocol == Protocol::kSue || protocol == Protocol::kOue;
+      EXPECT_EQ(reused.value, grr_or_olh ? fresh.value : before.value);
+      EXPECT_EQ(reused.hash_seed, protocol == Protocol::kOlh
+                                      ? fresh.hash_seed
+                                      : before.hash_seed);
+      if (protocol == Protocol::kSs) {
+        ASSERT_EQ(reused.subset.size(), fresh.subset.size());
+        EXPECT_EQ(reused.subset, fresh.subset);
+      } else {
+        EXPECT_EQ(reused.subset, before.subset);
+      }
+      if (ue) {
+        ASSERT_EQ(reused.bits.size(), fresh.bits.size());
+        EXPECT_EQ(reused.bits, fresh.bits);
+      } else {
+        EXPECT_EQ(reused.bits, before.bits);
+      }
+      ASSERT_EQ(into_rng(), fresh_rng());
+    }
+  }
+}
+
+// The same interleaving for the fused client + adversary path: each
+// prediction and the next draw match RandomizeInto into the shared report
+// followed by AttackPredict.
+TEST(RandomizeIntoTest, RandomizeAndPredictMatchesReusedTwoStep) {
+  const auto oracles = InterleavedOracles();
+  Rng order(5), values(6);
+  Rng fused_rng(78), two_step_rng(78);
+  Report reused;
+  for (int round = 0; round < 40; ++round) {
+    for (int t = 0; t < static_cast<int>(oracles.size()); ++t) {
+      const FrequencyOracle& oracle =
+          *oracles[order.UniformInt(oracles.size())];
+      const int v = static_cast<int>(values.UniformInt(oracle.k()));
+      const int got = oracle.RandomizeAndPredict(v, fused_rng);
+      oracle.RandomizeInto(v, two_step_rng, &reused);
+      const int want = oracle.AttackPredict(reused, two_step_rng);
+      ASSERT_EQ(got, want) << Describe(oracle) << " round " << round;
+      ASSERT_EQ(fused_rng(), two_step_rng()) << Describe(oracle);
+    }
+  }
+}
+
+// A report this protocol cannot have emitted is rejected, never read past
+// its end or used to index out of range.
+TEST(AttackPredictTest, RejectsMalformedReports) {
+  Rng rng(9);
+  const Oue oue(5, 1.0);
+  Report short_bits;
+  short_bits.bits = {1, 0, 1};
+  EXPECT_THROW(oue.AttackPredict(short_bits, rng), InvalidArgumentError);
+  Report no_bits;
+  EXPECT_THROW(oue.AttackPredict(no_bits, rng), InvalidArgumentError);
+
+  const Olh olh(5, 1.0);
+  Report past_g = olh.Randomize(2, rng);
+  past_g.value = olh.g();
+  EXPECT_THROW(olh.AttackPredict(past_g, rng), InvalidArgumentError);
+  past_g.value = -1;
+  EXPECT_THROW(olh.AttackPredict(past_g, rng), InvalidArgumentError);
+
+  const Ss ss(10, 1.0);
+  ASSERT_GE(ss.omega(), 2);
+  Report wrong_size = ss.Randomize(4, rng);
+  wrong_size.subset.pop_back();
+  EXPECT_THROW(ss.AttackPredict(wrong_size, rng), InvalidArgumentError);
+  wrong_size.subset = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
+  EXPECT_THROW(ss.AttackPredict(wrong_size, rng), InvalidArgumentError);
 }
 
 }  // namespace
