@@ -71,10 +71,6 @@ std::vector<double> FrequencyOracle::EstimateFrequencies(
   return agg->Estimate();
 }
 
-int FrequencyOracle::RandomizeAndPredict(int value, Rng& rng) const {
-  return AttackPredict(Randomize(value, rng), rng);
-}
-
 Report FrequencyOracle::Randomize(int value, Rng& rng) const {
   Report r;
   RandomizeInto(value, rng, &r);

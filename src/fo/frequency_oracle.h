@@ -105,16 +105,15 @@ class FrequencyOracle {
   /// Adversary of Section 3.2.1: predicts the user's true value from one
   /// report. Ties are broken uniformly at random. Throws
   /// InvalidArgumentError on a report this protocol cannot have emitted
-  /// (wrong bit count or subset size, hashed value outside [0, g)).
+  /// (value outside [0, k) or [0, g), wrong subset size or bit count).
   virtual int AttackPredict(const Report& report, Rng& rng) const = 0;
 
   /// Client and adversary fused: sanitizes `value` and returns the
   /// adversary's prediction from that report. Draws from `rng` exactly like
-  /// AttackPredict(Randomize(value, rng), rng), which is the default;
-  /// protocol overrides run the same draw and prediction routines without
-  /// the Report, on per-thread scratch, so a simulated attack makes no
-  /// per-report heap allocation in steady state.
-  virtual int RandomizeAndPredict(int value, Rng& rng) const;
+  /// AttackPredict(Randomize(value, rng), rng) by running the same draw and
+  /// prediction routines without the Report, on per-thread scratch, so a
+  /// simulated attack makes no per-report heap allocation in steady state.
+  virtual int RandomizeAndPredict(int value, Rng& rng) const = 0;
 
   /// Unbiased frequency estimate from support counts over n reports:
   /// fhat(v) = (C(v)/n - q) / (p - q)  (Eq. 2).
@@ -303,11 +302,11 @@ class Aggregator {
  private:
   void AllocateStaging(std::size_t stride);
 
-  Report scratch_;  ///< AccumulateValue's reused client report
   std::vector<std::uint8_t> staging_;  ///< wire rows, see StageRowSlot
   std::size_t staging_stride_ = 0;
   int staged_rows_ = 0;
   std::function<void(int rows, double seconds)> decode_observer_;
+  Report scratch_;  ///< AccumulateValue's reused client report
 };
 
 }  // namespace ldpr::fo

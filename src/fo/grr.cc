@@ -51,6 +51,8 @@ void Grr::AccumulateSupport(const Report& report,
 }
 
 int Grr::AttackPredict(const Report& report, Rng& /*rng*/) const {
+  LDPR_REQUIRE(report.value >= 0 && report.value < k(),
+               "GRR report value out of range");
   // The reported value is the single most likely true value (prob. p > q).
   return report.value;
 }

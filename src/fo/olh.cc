@@ -56,8 +56,7 @@ HashedReport Draw(const Olh& olh, int value, Rng& rng) {
 // the reported cell; pick one uniformly. An empty preimage carries no
 // information, so fall back to a uniform guess over the whole domain.
 int GuessFromPreimage(const Olh& olh, const HashedReport& report, Rng& rng) {
-  thread_local std::vector<int> scratch;
-  std::vector<int>& preimage = scratch;
+  thread_local std::vector<int> preimage;
   preimage.clear();
   const UniversalHash h(report.seed, olh.g());
   for (int v = 0; v < olh.k(); ++v) {

@@ -515,6 +515,11 @@ TEST(RandomizeIntoTest, RandomizeAndPredictMatchesReusedTwoStep) {
 // its end or used to index out of range.
 TEST(AttackPredictTest, RejectsMalformedReports) {
   Rng rng(9);
+  const Grr grr(5, 1.0);
+  Report past_k;
+  past_k.value = 5;
+  EXPECT_THROW(grr.AttackPredict(past_k, rng), InvalidArgumentError);
+
   const Oue oue(5, 1.0);
   Report short_bits;
   short_bits.bits = {1, 0, 1};
