@@ -124,8 +124,13 @@ void Aggregator::FlushStaged() const {
 }
 
 void Aggregator::AccumulateValue(int value, Rng& rng) {
-  oracle_.RandomizeInto(value, rng, &scratch_);
-  Accumulate(scratch_);
+  // Per thread rather than a member: Accumulate consumes the report before
+  // it returns, and a larger Aggregator object shifts where the serving
+  // path's big buffers land on the heap, which measurably slowed socket
+  // ingest.
+  thread_local Report scratch;
+  oracle_.RandomizeInto(value, rng, &scratch);
+  Accumulate(scratch);
 }
 
 void Aggregator::AccumulateValues(const int* values, std::size_t count,

@@ -177,9 +177,9 @@ class Aggregator {
 
   /// Fused client + server: randomizes `value` and accumulates its support.
   /// Draws from `rng` exactly like Randomize(value, rng) (bit-identical
-  /// stream). The default is RandomizeInto a member scratch Report, then
-  /// Accumulate, so UE and OLH values stage into their block kernels; GRR
-  /// and SS override it with a tally over their client draw.
+  /// stream). The default is RandomizeInto a per-thread scratch Report,
+  /// then Accumulate, so UE and OLH values stage into their block kernels;
+  /// GRR and SS override it with a tally over their client draw.
   virtual void AccumulateValue(int value, Rng& rng);
 
   /// AccumulateValue over a span of values.
@@ -306,7 +306,6 @@ class Aggregator {
   std::size_t staging_stride_ = 0;
   int staged_rows_ = 0;
   std::function<void(int rows, double seconds)> decode_observer_;
-  Report scratch_;  ///< AccumulateValue's reused client report
 };
 
 }  // namespace ldpr::fo
