@@ -6,8 +6,8 @@
 //                 then a second pass of AccumulateSupport + estimate.
 //   streaming   — BatchRandomize into an Aggregator sink: same RNG stream,
 //                 one reused scratch Report, no report vector.
-//   fused       — Aggregator::AccumulateValue: same RNG stream, no Report
-//                 at all.
+//   fused       — Aggregator::AccumulateValue: same RNG stream; GRR/SS
+//                 tally their draw, UE/OLH reuse one per-thread Report.
 //   closed_form — Aggregator::AccumulateHistogram: O(k) RNG draws for the
 //                 whole batch (per-cell distribution-exact).
 //

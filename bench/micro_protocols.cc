@@ -42,7 +42,7 @@ void BM_RandomizeAndSupport(benchmark::State& state, fo::Protocol protocol) {
   benchmark::DoNotOptimize(counts);
 }
 
-// The batched engine's fused client+server path (no Report materialized);
+// The batched engine's fused client+server path (no per-user Report);
 // compare against BM_RandomizeAndSupport at the same k.
 void BM_FusedAggregate(benchmark::State& state, fo::Protocol protocol) {
   const int k = static_cast<int>(state.range(0));
