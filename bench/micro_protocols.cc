@@ -1,9 +1,12 @@
-// Microbenchmarks (google-benchmark) for the library's hot paths: client
-// randomization, server support accumulation and the single-report attack
-// for each frequency oracle, plus the RS+FD / RS+RFD clients and the GBDT
-// trainer. These are throughput baselines, not paper figures.
+// Microbenchmarks (google-benchmark) for the library's hot paths: single
+// Rng draws, client randomization, server support accumulation and the
+// single-report attack for each frequency oracle, plus the RS+FD / RS+RFD
+// clients and the GBDT trainer. These are throughput baselines, not paper
+// figures.
 
 #include <benchmark/benchmark.h>
+
+#include <cmath>
 
 #include "core/rng.h"
 #include "core/sampling.h"
@@ -15,6 +18,27 @@
 namespace {
 
 using namespace ldpr;
+
+// One Rng draw per iteration, so the time column is ns per draw. Every
+// client randomizer, the profiling attack and data synthesis draw through
+// these.
+void BM_RngUniformReal(benchmark::State& state) {
+  Rng rng(7);
+  for (auto _ : state) benchmark::DoNotOptimize(rng.UniformReal());
+}
+
+// A UE client's per-bit draw: OUE's q at eps = 1.
+void BM_RngBernoulli(benchmark::State& state) {
+  Rng rng(8);
+  const double q = 1.0 / (std::exp(1.0) + 1.0);
+  for (auto _ : state) benchmark::DoNotOptimize(rng.Bernoulli(q));
+}
+
+void BM_RngUniformInt(benchmark::State& state) {
+  Rng rng(9);
+  const auto n = static_cast<std::uint64_t>(state.range(0));
+  for (auto _ : state) benchmark::DoNotOptimize(rng.UniformInt(n));
+}
 
 void BM_Randomize(benchmark::State& state, fo::Protocol protocol) {
   const int k = static_cast<int>(state.range(0));
@@ -117,6 +141,9 @@ void BM_GbdtTrain(benchmark::State& state) {
 
 }  // namespace
 
+BENCHMARK(BM_RngUniformReal);
+BENCHMARK(BM_RngBernoulli);
+BENCHMARK(BM_RngUniformInt)->Arg(100);
 BENCHMARK_CAPTURE(BM_Randomize, grr, fo::Protocol::kGrr)->Arg(16)->Arg(256);
 BENCHMARK_CAPTURE(BM_Randomize, olh, fo::Protocol::kOlh)->Arg(16)->Arg(256);
 BENCHMARK_CAPTURE(BM_Randomize, ss, fo::Protocol::kSs)->Arg(16)->Arg(256);

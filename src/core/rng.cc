@@ -1,11 +1,40 @@
 #include "core/rng.h"
 
 #include <cmath>
+#include <random>
 
 #include "core/check.h"
 #include "core/hash.h"
 
 namespace ldpr {
+
+// Rng is copied by value (Fork, vectors of per-attribute generators): the
+// engine keeps std::mt19937_64's footprint.
+static_assert(sizeof(Rng) <= sizeof(std::mt19937_64) + 24,
+              "Rng grew beyond std::mt19937_64's state");
+
+namespace rng_internal {
+
+void Mt19937_64::Refill() {
+  constexpr std::uint64_t kUpper = ~std::uint64_t{0} << 31;
+  constexpr std::uint64_t kLower = ~kUpper;
+  constexpr std::uint64_t kMatrix = 0xB5026F5AA96619E9ULL;
+  // mt_[i] <- mt_[i + M (mod N)] ^ twist(upper bits of mt_[i], lower bits of
+  // mt_[i + 1 (mod N)]); the three loops keep the indices free of a modulo.
+  auto twist = [](std::uint64_t hi, std::uint64_t lo, std::uint64_t far) {
+    std::uint64_t y = (hi & kUpper) | (lo & kLower);
+    return far ^ (y >> 1) ^ ((0 - (y & 1)) & kMatrix);
+  };
+  std::size_t i = 0;
+  for (; i < kN - kM; ++i) mt_[i] = twist(mt_[i], mt_[i + 1], mt_[i + kM]);
+  for (; i < kN - 1; ++i) {
+    mt_[i] = twist(mt_[i], mt_[i + 1], mt_[i + kM - kN]);
+  }
+  mt_[kN - 1] = twist(mt_[kN - 1], mt_[0], mt_[kM - 1]);
+  pos_ = 0;
+}
+
+}  // namespace rng_internal
 
 Rng::Rng(std::uint64_t seed) : engine_(seed), seed_(seed) {}
 
@@ -33,17 +62,6 @@ std::int64_t Rng::UniformRange(std::int64_t lo, std::int64_t hi) {
   LDPR_CHECK(lo <= hi, "UniformRange requires lo <= hi");
   std::uniform_int_distribution<std::int64_t> dist(lo, hi);
   return dist(engine_);
-}
-
-double Rng::UniformReal() {
-  std::uniform_real_distribution<double> dist(0.0, 1.0);
-  return dist(engine_);
-}
-
-bool Rng::Bernoulli(double p) {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return UniformReal() < p;
 }
 
 double Rng::Laplace(double b) {

@@ -5,6 +5,8 @@
 #include <random>
 #include <vector>
 
+#include "core/rng_engine.h"
+
 namespace ldpr {
 
 /// Deterministic random-number generator used across the library.
@@ -13,6 +15,11 @@ namespace ldpr {
 /// experiment is reproducible from a single root seed. `Split()` derives an
 /// independent child generator, which lets parallel workers consume
 /// uncorrelated streams without sharing state.
+///
+/// The engine yields std::mt19937_64's sequence, and every draw below
+/// returns what the same <random> distribution over std::mt19937_64 would.
+/// The legacy streams depend on it: `RngTest.StreamMatchesStdEngine` pins
+/// the engine and each draw bit for bit for several seeds, Split and Fork.
 class Rng {
  public:
   using result_type = std::uint64_t;
@@ -37,11 +44,17 @@ class Rng {
   /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
   std::int64_t UniformRange(std::int64_t lo, std::int64_t hi);
 
-  /// Uniform real in [0, 1).
-  double UniformReal();
+  /// Uniform real in [0, 1): std::uniform_real_distribution<double>(0, 1)'s
+  /// value, without its branchy unsigned conversion.
+  double UniformReal() { return rng_internal::UnitInterval(engine_()); }
 
-  /// Bernoulli draw: true with probability p (clamped to [0, 1]).
-  bool Bernoulli(double p);
+  /// Bernoulli draw: true with probability p (clamped to [0, 1]). Draws only
+  /// for 0 < p < 1, and for a NaN p, which then returns false.
+  bool Bernoulli(double p) {
+    if (p <= 0.0) return false;
+    if (p >= 1.0) return true;
+    return UniformReal() < p;
+  }
 
   /// Standard Laplace(0, b) sample.
   double Laplace(double b);
@@ -84,15 +97,15 @@ class Rng {
 
   /// UniformRandomBitGenerator interface (usable with <random> distributions).
   static constexpr result_type min() {
-    return std::mt19937_64::min();
+    return rng_internal::Mt19937_64::min();
   }
   static constexpr result_type max() {
-    return std::mt19937_64::max();
+    return rng_internal::Mt19937_64::max();
   }
   result_type operator()() { return engine_(); }
 
  private:
-  std::mt19937_64 engine_;
+  rng_internal::Mt19937_64 engine_;
   std::uint64_t seed_;
   std::uint64_t split_counter_ = 0;
 };

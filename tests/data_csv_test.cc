@@ -1,7 +1,10 @@
 #include "data/csv.h"
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <fstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -13,8 +16,12 @@ namespace {
 
 class CsvTest : public ::testing::Test {
  protected:
+  // ctest runs each case as its own process, in parallel under -j: one
+  // file per test and process keeps them off each other's path.
   void SetUp() override {
-    path_ = ::testing::TempDir() + "/ldpr_csv_test.csv";
+    path_ = ::testing::TempDir() + "/ldpr_csv_test_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+            "_" + std::to_string(::getpid()) + ".csv";
   }
   void TearDown() override { std::remove(path_.c_str()); }
 
