@@ -29,7 +29,6 @@ class Mt19937_64 {
       std::uint64_t x = mt_[i - 1];
       mt_[i] = 6364136223846793005ULL * (x ^ (x >> 62)) + i;
     }
-    pos_ = kN;
   }
 
   static constexpr result_type min() { return 0; }
@@ -50,7 +49,7 @@ class Mt19937_64 {
   void Refill();
 
   std::uint64_t mt_[kN];
-  std::size_t pos_;
+  std::size_t pos_ = kN;  // the first draw refills
 };
 
 /// Maps a full-range 64-bit draw to [0, 1) exactly as
