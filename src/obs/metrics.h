@@ -4,7 +4,7 @@
 //
 //  * Owned instruments (Counter / Gauge / Histogram) hold cache-line-aligned
 //    per-shard cells updated with relaxed atomics. Writers pick a shard (the
-//    collector uses its lane index, the server its single loop thread) so
+//    collector uses its lane index, the server its reactor index) so
 //    cells are effectively single-writer; shards are merged only at scrape
 //    time, exactly like `fo::Aggregator` shards are merged at Drain().
 //  * Scrape callbacks export state a component already tracks — the

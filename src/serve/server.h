@@ -1,8 +1,8 @@
 #ifndef LDPR_SERVE_SERVER_H_
 #define LDPR_SERVE_SERVER_H_
 
-// The network front door: a single-threaded event-loop (epoll on Linux,
-// poll(2) elsewhere) TCP / Unix-domain-socket server that frames
+// The network front door: an event-loop (epoll on Linux, poll(2)
+// elsewhere) TCP / Unix-domain-socket server that frames
 // length-prefixed wire records (serve/wire_session.h format) off
 // non-blocking connections into any IngestSink — the lock-striped
 // Collector, the longitudinal pipeline with its replay classification, or
@@ -11,9 +11,9 @@
 // Admission control happens in layers, each surfacing as a counted reject
 // (never an exception, never silent):
 //   * per-connection pacing (WireSessionOptions::conn_rate): backpressure —
-//     the loop stops polling a connection for reads until its pacing debt
-//     refills, so the kernel socket buffer, then the peer, absorb the
-//     excess; nothing already read is dropped;
+//     the owning reactor stops polling a connection for reads until its
+//     pacing debt refills, so the kernel socket buffer, then the peer,
+//     absorb the excess; nothing already read is dropped;
 //   * per-user token buckets (AdmissionOptions::per_user_rate) and
 //     duplicate (user, epoch) rejection: kRateLimited / kDuplicate. A sink
 //     with a user-state table (the LongitudinalCollector) does both in one
@@ -24,19 +24,23 @@
 //     (too many connections rate-paused for longer than the grace period),
 //     the lowest-priority connection (WireSession::Priority) is dropped.
 //
-// One loop thread owns all sockets and sessions; ingest runs on it, one
-// IngestSink::IngestAll call per read chunk. The sink's lock-striped lanes
-// make that safe alongside any in-process producers, and connections are
-// assigned round-robin lane hints so concurrent connections decode into
-// distinct lanes.
+// The server runs R reactors, R = max(1, DefaultThreadCount() / 2) (core
+// threads; LDPR_THREADS=1 gives one). Each reactor is one thread with its
+// own poller, wake pipe, read buffer and connection map, and ingest runs on
+// the reactor that owns the connection, one IngestSink::IngestAll call per
+// read chunk. Reactor 0 also owns the listeners and the admin endpoint: the
+// accept counter gives connection i lane hint i and hands it to reactor
+// i % R, so with as many lanes as reactors each reactor decodes into lanes
+// no other reactor touches. The sink's lock-striped lanes make concurrent
+// reactors (and any in-process producers) safe either way. Only the owning
+// reactor reads or closes a connection's fd; shedding picks the globally
+// lowest-priority connection and posts its close to the owner.
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -68,12 +72,12 @@ struct ServerOptions {
   /// Watermark < 0 disables the monitor; capacity shedding stays active.
   int shed_paused_watermark = -1;
   double shed_grace_seconds = 0.5;
-  /// read(2) chunk size per readable connection per loop iteration.
+  /// read(2) chunk size per readable connection per reactor iteration.
   std::size_t read_chunk = 64 << 10;
 
   /// Admin scrape endpoint: a read-only HTTP listener (`GET /metrics` in
-  /// Prometheus text, `/metrics.json`) riding the same event loop on its
-  /// own socket(s), so it is safe to scrape mid-epoch and costs nothing
+  /// Prometheus text, `/metrics.json`) riding reactor 0's event loop on
+  /// its own socket(s), so it is safe to scrape mid-epoch and costs nothing
   /// while nobody connects. Bound when admin_uds_path is non-empty /
   /// admin_tcp_port >= 0 (0 = ephemeral, resolved via admin_tcp_port()).
   std::string admin_uds_path;
@@ -95,9 +99,9 @@ struct ServerCounters {
   SessionCounters sessions;
 };
 
-/// The socket ingest server. Start() spawns the loop thread; Stop() (or
-/// destruction) joins it and closes every socket. The sink must outlive
-/// the server.
+/// The socket ingest server. Start() spawns every reactor thread before it
+/// returns; Stop() (or destruction) joins them and closes every socket. A
+/// server starts once. The sink must outlive the server.
 class IngestServer {
  public:
   IngestServer(IngestSink& sink, const ServerOptions& options);
@@ -107,16 +111,19 @@ class IngestServer {
   IngestServer& operator=(const IngestServer&) = delete;
 
   /// Binds the configured listeners (ingest and/or admin) and starts the
-  /// loop thread. Throws on bind/listen failure. At least one listener must
-  /// be configured; an admin-only server is legal (in-process ingest with a
-  /// live scrape endpoint).
+  /// reactor threads. Throws on bind/listen failure. At least one listener
+  /// must be configured; an admin-only server is legal (in-process ingest
+  /// with a live scrape endpoint).
   void Start();
 
-  /// Stops the loop, closes every connection and listener, and folds the
+  /// Stops the reactors, ingests the bytes each live connection had already
+  /// delivered, closes every connection and listener, and folds the
   /// remaining live-session counters into the totals. Idempotent.
   void Stop();
 
-  bool running() const { return loop_.joinable(); }
+  bool running() const { return running_.load(std::memory_order_acquire); }
+  /// Reactor threads the server runs (fixed at construction).
+  int reactors() const { return reactor_count_; }
   /// The bound UDS path ("" when not listening on one).
   const std::string& uds_path() const { return options_.uds_path; }
   /// The bound TCP port (-1 when not listening; resolved when ephemeral).
@@ -125,38 +132,49 @@ class IngestServer {
   int admin_tcp_port() const { return admin_tcp_port_; }
 
   /// Point-in-time counters: totals of closed connections plus a live
-  /// snapshot of every open session.
+  /// snapshot of every open session, summed over the reactors.
   ServerCounters counters() const;
 
  private:
   struct Connection;
   struct AdminConnection;
   class Poller;
+  struct Reactor;
 
-  void Loop();
+  void Run(Reactor& reactor);
+  /// Closes the reactor's shed connections and resumes the paused ones
+  /// whose pacing debt refilled; returns the wait until the next is due.
+  int Housekeep(Reactor& reactor, double now);
   void AcceptReady(int listener_fd, double now);
-  /// Reads one chunk from a connection; closes it on EOF / error /
-  /// protocol error. Returns false when the connection was closed.
-  bool ReadReady(int fd, double now);
-  void CloseConnection(int fd, bool shed);
-  /// Drops the lowest-priority connection; false when none exist.
+  /// Reads one chunk from a connection and ingests it; closes the
+  /// connection on EOF / error / protocol error.
+  void ReadReady(Reactor& reactor, int fd, double now);
+  /// Folds a connection's session into its reactor's totals; the caller
+  /// holds reactor.mutex.
+  void Retire(Reactor& reactor, Connection& conn, bool shed);
+  /// Sheds the globally lowest-priority connection; false when none exist.
   bool ShedLowestPriority();
+  /// Sustained-overload monitor (reactor 0); may lower *timeout_ms to the
+  /// end of the grace period.
+  void WatchOverload(double now, int* timeout_ms);
+  /// One reactor's counters: its totals plus its live sessions.
+  ServerCounters ReactorCounters(const Reactor& reactor) const;
   int PausedCount(double now) const;
 
-  /// Admin endpoint plumbing, all loop-thread only: accept, buffer the
-  /// request head, render once it is complete, then drain the response
-  /// (partial writes resume on EPOLLOUT) and close.
-  void AdminAcceptReady(int listener_fd);
-  void AdminEventReady(int fd);
+  /// Admin endpoint plumbing, all on reactor 0: accept, buffer the request
+  /// head, render once it is complete, then drain the response (partial
+  /// writes resume on EPOLLOUT) and close.
+  void AdminAcceptReady(int listener_fd, double now);
+  void AdminEventReady(int fd, double now);
   void CloseAdmin(int fd);
   obs::MetricsRegistry& AdminRegistry() const;
 
   IngestSink& sink_;
   ServerOptions options_;
+  int reactor_count_;
   /// Sessions' admission table: the sink's, else own_users_ (or null).
   UserStateTable* users_ = nullptr;
   std::unique_ptr<UserStateTable> own_users_;
-  std::unique_ptr<Poller> poller_;
 
   int uds_listen_ = -1;
   int tcp_listen_ = -1;
@@ -164,22 +182,21 @@ class IngestServer {
   int admin_uds_listen_ = -1;
   int admin_tcp_listen_ = -1;
   int admin_tcp_port_ = -1;
-  int wake_read_ = -1;
-  int wake_write_ = -1;
 
-  std::thread loop_;
   std::atomic<bool> stop_{false};
+  std::atomic<bool> running_{false};
   double started_at_ = 0.0;
+  double stopped_after_ = 0.0;  ///< seconds from Start to Stop
 
-  /// Guards conns_ and totals_ (the loop thread versus counters()/Stop()).
-  mutable std::mutex mutex_;
-  std::unordered_map<int, std::unique_ptr<Connection>> conns_;
-  ServerCounters totals_;
-  long long next_lane_ = 0;
+  /// Live connections across all reactors (capacity shedding) and how many
+  /// of them are pacing-paused (the overload monitor).
+  std::atomic<int> live_{0};
+  std::atomic<int> paused_{0};
+
+  /// Reactor 0 only: the accept counter (lane hint and reactor pick), the
+  /// overload clock and the admin connections.
+  long long accepted_ = 0;
   double overload_since_ = -1.0;  ///< < 0: not currently over the watermark
-  std::vector<std::uint8_t> read_buffer_;
-
-  /// Loop-thread only (Stop touches it strictly after joining the loop).
   std::unordered_map<int, std::unique_ptr<AdminConnection>> admin_conns_;
 
   /// Set iff options.metrics != nullptr.
@@ -189,6 +206,10 @@ class IngestServer {
     long long callback_id = 0;
   };
   std::unique_ptr<Obs> obs_;
+
+  /// Built by Start(); kept after Stop() so counters() stays readable. The
+  /// threads inside use every member above.
+  std::vector<std::unique_ptr<Reactor>> reactors_;
 };
 
 }  // namespace ldpr::serve

@@ -9,9 +9,13 @@
 // Unix-domain socket — sealed snapshots must be bit-identical to the same
 // frames pushed through the in-process path — and the admin scrape
 // endpoint, whose /metrics counters must equal the sealed snapshot's
-// IngestCounters exactly, including mid-stream scrapes and after scrapers
-// that hang up before reading their response. Runs under the ASan fast
-// label.
+// IngestCounters exactly, including mid-stream scrapes, after scrapers
+// that hang up before reading their response and with every admin slot
+// held by an idle socket. The reactor tests force their reactor count with
+// a scoped LDPR_THREADS: capacity and overload shedding within and across
+// reactors, Stop() with live connections on every reactor, and four
+// connections across reactors bit-identical to the in-process path. Runs
+// under the ASan fast label.
 
 #include <gtest/gtest.h>
 #include <netinet/in.h>
@@ -22,10 +26,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
 #include <string>
@@ -1304,6 +1312,357 @@ TEST(IngestServerTest, ProtocolErrorClosesOnlyTheOffendingConnection) {
 }
 
 // ---------------------------------------------------------------------------
+// Reactors: capacity shedding, cross-reactor sheds, Stop() with live
+// connections, and several reactors decoding into one sink
+// ---------------------------------------------------------------------------
+
+// Sets LDPR_THREADS for one test and restores it afterwards. The server
+// reads it at construction: R = max(1, threads / 2) reactors.
+class ScopedThreads {
+ public:
+  explicit ScopedThreads(const char* value) {
+    if (const char* old = std::getenv("LDPR_THREADS")) saved_ = old;
+    ::setenv("LDPR_THREADS", value, 1);
+  }
+  ~ScopedThreads() {
+    if (saved_) {
+      ::setenv("LDPR_THREADS", saved_->c_str(), 1);
+    } else {
+      ::unsetenv("LDPR_THREADS");
+    }
+  }
+  ScopedThreads(const ScopedThreads&) = delete;
+  ScopedThreads& operator=(const ScopedThreads&) = delete;
+
+ private:
+  std::optional<std::string> saved_;
+};
+
+// Spins (yielding) until `done` holds or ten seconds pass.
+template <typename Done>
+bool WaitUntil(Done&& done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+// A client connection the test keeps open: connect, send, and watch for
+// the server closing it.
+class RawClient {
+ public:
+  explicit RawClient(const std::string& path) {
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+    fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (fd_ >= 0 && ::connect(fd_, reinterpret_cast<const sockaddr*>(&addr),
+                              sizeof(addr)) != 0) {
+      ::close(fd_);
+      fd_ = -1;
+    }
+  }
+  ~RawClient() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  RawClient(const RawClient&) = delete;
+  RawClient& operator=(const RawClient&) = delete;
+
+  bool connected() const { return fd_ >= 0; }
+
+  // False once the server has closed the connection.
+  bool Send(const std::vector<std::uint8_t>& bytes) {
+    std::size_t sent = 0;
+    while (sent < bytes.size()) {
+      const ssize_t n = ::send(fd_, bytes.data() + sent, bytes.size() - sent,
+                               MSG_NOSIGNAL);
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) return false;
+      sent += static_cast<std::size_t>(n);
+    }
+    return true;
+  }
+
+  // True when the server closed its end within `timeout_ms`.
+  bool ClosedByServer(int timeout_ms) {
+    pollfd p{fd_, POLLIN, 0};
+    if (::poll(&p, 1, timeout_ms) != 1) return false;
+    char byte = 0;
+    const ssize_t n = ::recv(fd_, &byte, 1, MSG_DONTWAIT);
+    return n == 0 || (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK);
+  }
+
+ private:
+  int fd_ = -1;
+};
+
+// `count` valid anonymous GRR records.
+std::vector<std::uint8_t> GoodRecords(const fo::FrequencyOracle& oracle,
+                                      int count, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::uint8_t> wire;
+  for (int i = 0; i < count; ++i) {
+    AppendWireRecord(kAnonymousUser,
+                     fo::SerializeReport(oracle, oracle.Randomize(i % 8, rng)),
+                     wire);
+  }
+  return wire;
+}
+
+// `count` framed records the sink rejects as malformed (a one-byte frame):
+// each costs its connection four points of shed priority.
+std::vector<std::uint8_t> MalformedRecords(int count) {
+  std::vector<std::uint8_t> wire;
+  const std::uint8_t frame[] = {0xFF};
+  for (int i = 0; i < count; ++i) AppendWireRecord(kAnonymousUser, frame, wire);
+  return wire;
+}
+
+// Capacity shedding with three connections against a cap of two; the
+// victim (the connection with the rejects) sits on connection index
+// `victim_index`, and so on reactor victim_index % R. Checks the exact
+// lifecycle counters, that the owner closes the victim, that the victim
+// ingests nothing after the pick, and that the survivors keep ingesting.
+void ExpectCapacityShed(const char* tag, int victim_index) {
+  auto oracle = fo::MakeOracle(fo::Protocol::kGrr, 8, 1.0);
+  Collector collector(*oracle, CollectorOptions{.lanes = 2});
+  ServerOptions options;
+  options.uds_path = TestSocketPath(tag);
+  options.max_connections = 2;
+  IngestServer server(collector, options);
+  server.Start();
+
+  std::vector<std::unique_ptr<RawClient>> clients;
+  long long records = 0;
+  for (int i = 0; i < 2; ++i) {
+    clients.push_back(std::make_unique<RawClient>(options.uds_path));
+    ASSERT_TRUE(clients.back()->connected());
+    ASSERT_TRUE(
+        WaitUntil([&] { return server.counters().connections == i + 1; }));
+    ASSERT_TRUE(clients.back()->Send(i == victim_index
+                                         ? MalformedRecords(5)
+                                         : GoodRecords(*oracle, 20, 7 + i)));
+    records += i == victim_index ? 5 : 20;
+    ASSERT_TRUE(WaitUntil(
+        [&] { return server.counters().sessions.records == records; }));
+  }
+
+  // The third connection is over capacity: the victim goes.
+  clients.push_back(std::make_unique<RawClient>(options.uds_path));
+  ASSERT_TRUE(clients.back()->connected());
+  ASSERT_TRUE(WaitUntil([&] { return server.counters().connections == 3; }));
+  ServerCounters counters = server.counters();
+  EXPECT_EQ(counters.connections, 3);
+  EXPECT_EQ(counters.closed, 1);
+  EXPECT_EQ(counters.shed_connections, 1);
+  EXPECT_EQ(counters.sessions.records, records);
+  EXPECT_EQ(counters.sessions.ingest.rejected, 5);
+
+  // Whatever the victim sends after the pick is never ingested, and its
+  // owning reactor closes it.
+  RawClient& victim = *clients[static_cast<std::size_t>(victim_index)];
+  victim.Send(GoodRecords(*oracle, 50, 99));
+  EXPECT_TRUE(victim.ClosedByServer(/*timeout_ms=*/10000));
+
+  // The survivors, the newcomer included, still ingest.
+  for (int i = 0; i < 3; ++i) {
+    if (i == victim_index) continue;
+    ASSERT_TRUE(clients[static_cast<std::size_t>(i)]->Send(
+        GoodRecords(*oracle, 10, 50 + i)));
+    records += 10;
+  }
+  ASSERT_TRUE(WaitUntil(
+      [&] { return server.counters().sessions.records == records; }));
+  server.Stop();
+
+  counters = server.counters();
+  EXPECT_EQ(counters.connections, 3);
+  EXPECT_EQ(counters.closed, 3);
+  EXPECT_EQ(counters.shed_connections, 1);
+  EXPECT_EQ(counters.sessions.records, records);
+  EXPECT_EQ(counters.sessions.ingest.reports, records - 5);
+  EXPECT_EQ(collector.Drain().tallies.reports, records - 5);
+}
+
+TEST(IngestServerTest, CapacityShedsTheLowestPriorityConnection) {
+  const ScopedThreads threads("1");  // one reactor: victim and acceptor
+  ExpectCapacityShed("shed_one", /*victim_index=*/0);
+}
+
+TEST(IngestServerTest, ShedClosesAVictimOnAnotherReactor) {
+  const ScopedThreads threads("4");
+  // Connection 1 lives on reactor 1; reactor 0 accepts the third
+  // connection and picks it.
+  ExpectCapacityShed("shed_cross", /*victim_index=*/1);
+}
+
+// The sustained-overload monitor runs on reactor 0 but counts pacing pauses
+// on every reactor: with both connections paused past the grace period, it
+// sheds the lower-priority one, which lives on reactor 1, and then stops
+// (one paused connection is not over the watermark).
+TEST(IngestServerTest, OverloadMonitorShedsAPausedConnectionOnAnotherReactor) {
+  const ScopedThreads threads("4");
+  auto oracle = fo::MakeOracle(fo::Protocol::kGrr, 8, 1.0);
+  Collector collector(*oracle, CollectorOptions{.lanes = 2});
+  ServerOptions options;
+  options.uds_path = TestSocketPath("overload");
+  options.session.conn_rate = 10.0;  // 40 records: ~3.5 s of pacing debt
+  options.session.conn_burst = 5.0;
+  options.shed_paused_watermark = 1;
+  options.shed_grace_seconds = 0.05;
+  IngestServer server(collector, options);
+  ASSERT_GE(server.reactors(), 2);
+  server.Start();
+
+  RawClient good(options.uds_path);
+  ASSERT_TRUE(good.connected());
+  ASSERT_TRUE(WaitUntil([&] { return server.counters().connections == 1; }));
+  RawClient bad(options.uds_path);  // connection 1: reactor 1
+  ASSERT_TRUE(bad.connected());
+  ASSERT_TRUE(good.Send(GoodRecords(*oracle, 40, 77)));
+  ASSERT_TRUE(bad.Send(MalformedRecords(40)));
+
+  EXPECT_TRUE(bad.ClosedByServer(/*timeout_ms=*/10000));
+  const ServerCounters counters = server.counters();
+  EXPECT_EQ(counters.connections, 2);
+  EXPECT_EQ(counters.closed, 1);
+  EXPECT_EQ(counters.shed_connections, 1);
+  EXPECT_EQ(counters.sessions.records, 80);
+  EXPECT_EQ(counters.sessions.ingest.rejected, 40);
+  server.Stop();
+  EXPECT_EQ(server.counters().sessions.ingest.reports, 40);
+}
+
+TEST(IngestServerTest, StopFoldsLiveConnectionsOnEveryReactor) {
+  const ScopedThreads threads("4");
+  auto oracle = fo::MakeOracle(fo::Protocol::kGrr, 8, 1.0);
+  Collector collector(*oracle, CollectorOptions{.lanes = 2});
+  ServerOptions options;
+  options.uds_path = TestSocketPath("stop_live");
+  IngestServer server(collector, options);
+  ASSERT_GE(server.reactors(), 2);
+  server.Start();
+
+  // Two connections per reactor, all left open.
+  const int connections = 2 * server.reactors();
+  std::vector<std::unique_ptr<RawClient>> clients;
+  long long records = 0;
+  for (int i = 0; i < connections; ++i) {
+    clients.push_back(std::make_unique<RawClient>(options.uds_path));
+    ASSERT_TRUE(clients.back()->connected());
+    ASSERT_TRUE(
+        clients.back()->Send(GoodRecords(*oracle, 100 + i, 300 + i)));
+    records += 100 + i;
+  }
+  ASSERT_TRUE(WaitUntil(
+      [&] { return server.counters().sessions.records == records; }));
+  ServerCounters counters = server.counters();
+  EXPECT_EQ(counters.connections, connections);
+  EXPECT_EQ(counters.closed, 0);
+  server.Stop();
+
+  counters = server.counters();
+  EXPECT_EQ(counters.connections, connections);
+  EXPECT_EQ(counters.closed, connections);
+  EXPECT_EQ(counters.shed_connections, 0);
+  EXPECT_EQ(counters.sessions.records, records);
+  EXPECT_EQ(counters.sessions.ingest.reports, records);
+  EXPECT_EQ(collector.Drain().tallies.reports, records);
+  for (auto& client : clients) EXPECT_TRUE(client->ClosedByServer(10000));
+}
+
+TEST(IngestServerTest, FourConnectionsAcrossReactorsMatchInProcessPath) {
+  const ScopedThreads threads("4");
+  const int k = 16;
+  const long long n = 8000;
+  const long long dup_every = 50;
+  auto oracle = fo::MakeOracle(fo::Protocol::kGrr, k, 1.0);
+  std::vector<int> values(n);
+  for (long long i = 0; i < n; ++i) values[i] = static_cast<int>(i % k);
+  Rng root(57);
+  sim::Options encode_options;
+  encode_options.threads = 1;
+  const EncodedStream stream =
+      EncodeScalarLoad(*oracle, values, root, encode_options);
+
+  // Reference: one lane, in process.
+  LongitudinalOptions reference_options;
+  reference_options.collector.lanes = 1;
+  LongitudinalCollector reference(*oracle, reference_options);
+  reference.OpenEpoch();
+  for (long long i = 0; i < n; ++i) {
+    const IngestRequest request{{stream.frame(i), stream.frame_bytes}, i};
+    ASSERT_TRUE(reference.Ingest(request).accepted);
+    if (i % dup_every == 0) {
+      ASSERT_EQ(reference.Ingest(request).reason, RejectReason::kDuplicate);
+    }
+  }
+  const EstimateSnapshot ref_snapshot = reference.Seal();
+
+  obs::MetricsRegistry registry;
+  LongitudinalOptions collector_options;
+  collector_options.collector.lanes = 2;
+  LongitudinalCollector collector(*oracle, collector_options);
+  collector.OpenEpoch();
+  ServerOptions options;
+  options.uds_path = TestSocketPath("four_conn");
+  options.metrics = &registry;
+  IngestServer server(collector, options);
+  ASSERT_GE(server.reactors(), 2);
+  server.Start();
+
+  const int connections = 4;
+  const std::size_t record_bytes =
+      kRecordHeaderBytes + kRecordUserBytes + stream.frame_bytes;
+  std::vector<std::vector<std::uint8_t>> slices;
+  long long framed = 0;
+  for (int c = 0; c < connections; ++c) {
+    slices.push_back(FrameStreamRecords(stream, c * n / connections,
+                                        (c + 1) * n / connections,
+                                        /*first_user=*/0, dup_every));
+    framed += static_cast<long long>(slices.back().size() / record_bytes);
+  }
+  std::vector<std::thread> clients;
+  for (auto& slice : slices) {
+    clients.emplace_back([&] {
+      const SocketSendResult sent = SendOverUds(options.uds_path, slice);
+      EXPECT_EQ(sent.bytes, static_cast<long long>(slice.size()));
+    });
+  }
+  for (auto& t : clients) t.join();
+  ASSERT_TRUE(WaitUntil(
+      [&] { return server.counters().sessions.records == framed; }));
+
+  // Every reactor framed records: connection i went to reactor i % R.
+  long long by_reactor = 0;
+  for (int r = 0; r < server.reactors(); ++r) {
+    const double records = registry.SampleValue(
+        "ldpr_server_reactor_records_total",
+        "reactor=\"" + std::to_string(r) + "\"");
+    EXPECT_GT(records, 0) << "reactor " << r;
+    by_reactor += static_cast<long long>(records);
+  }
+  EXPECT_EQ(by_reactor, framed);
+  server.Stop();
+  const EstimateSnapshot socket_snapshot = collector.Seal();
+
+  EXPECT_EQ(socket_snapshot.n, ref_snapshot.n);
+  EXPECT_EQ(socket_snapshot.counts, ref_snapshot.counts);
+  EXPECT_EQ(socket_snapshot.frequencies, ref_snapshot.frequencies);
+  EXPECT_EQ(socket_snapshot.consistent, ref_snapshot.consistent);
+  EXPECT_EQ(socket_snapshot.stats.duplicates, ref_snapshot.stats.duplicates);
+  EXPECT_GT(socket_snapshot.stats.duplicates, 0);
+  EXPECT_EQ(socket_snapshot.stats.reports, n);
+  const ServerCounters counters = server.counters();
+  EXPECT_EQ(counters.connections, connections);
+  EXPECT_EQ(counters.sessions.records, framed);
+  EXPECT_EQ(counters.sessions.ingest.reports, n);
+}
+
+// ---------------------------------------------------------------------------
 // Admin scrape endpoint
 // ---------------------------------------------------------------------------
 
@@ -1568,10 +1927,55 @@ TEST(AdminEndpointTest, ScrapeDuringConcurrentStreamingIsSafeAndExact) {
   const std::string body = HttpBody(
       HttpGetOverUds(server_options.admin_uds_path, "/metrics"));
   EXPECT_EQ(SeriesValue(body, "ldpr_ingest_reports_total"), n);
+  // How the records split across reactors, summing to the server total.
+  EXPECT_EQ(SeriesValue(body, "ldpr_server_reactors"), server.reactors());
+  long long by_reactor = 0;
+  for (int r = 0; r < server.reactors(); ++r) {
+    const long long records = SeriesValue(
+        body, "ldpr_server_reactor_records_total{reactor=\"" +
+                  std::to_string(r) + "\"}");
+    EXPECT_GE(records, 0) << "reactor " << r;
+    by_reactor += records;
+  }
+  EXPECT_EQ(by_reactor, SeriesValue(body, "ldpr_server_records_total"));
+  EXPECT_GT(by_reactor, 0);
   server.Stop();
 
   const IngestCounters totals = collector.Drain().tallies;
   EXPECT_EQ(totals.reports, n);
+}
+
+// Idle admin sockets must not lock scrapers out: with every admin slot held
+// by a connection that never sends its request head, a scrape still gets a
+// full response, because the accept evicts the connection idle longest.
+TEST(AdminEndpointTest, IdleAdminSocketsDoNotBlockScraping) {
+  obs::MetricsRegistry registry;
+  auto oracle = fo::MakeOracle(fo::Protocol::kGrr, 8, 1.0);
+  Collector collector(*oracle, CollectorOptions{.lanes = 1});
+  ServerOptions server_options;
+  server_options.admin_uds_path = TestSocketPath("idle_scrape");
+  server_options.metrics = &registry;
+  IngestServer server(collector, server_options);
+  server.Start();
+
+  std::vector<std::unique_ptr<RawClient>> idle;
+  for (int i = 0; i < 16; ++i) {
+    idle.push_back(
+        std::make_unique<RawClient>(server_options.admin_uds_path));
+    ASSERT_TRUE(idle.back()->connected());
+  }
+  const std::string response =
+      HttpGetOverUds(server_options.admin_uds_path, "/metrics");
+  EXPECT_EQ(response.rfind("HTTP/1.0 200 OK", 0), 0u) << response;
+  EXPECT_EQ(SeriesValue(HttpBody(response), "ldpr_server_connections_total"),
+            0);
+  // Exactly one idle socket made room; the others are still open.
+  int evicted = 0;
+  for (auto& client : idle) {
+    if (client->ClosedByServer(/*timeout_ms=*/0)) ++evicted;
+  }
+  EXPECT_EQ(evicted, 1);
+  server.Stop();
 }
 
 }  // namespace
